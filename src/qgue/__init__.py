@@ -69,6 +69,7 @@ from .moments import (
     hermite_norm,
     hermite_squared_moment,
     hook_moment_closed_form,
+    integrate_power_sum,
     integrate_schur,
     integrate_symmetric,
     level_density_moment,

@@ -16,24 +16,15 @@ from .exactq import PoleError, Scalar, evaluate_at, q_factorial
 from .moments import (
     GENUS_MAX_M,
     DegenerateDenominator,
-    gaussian_moment,
     genus_table,
     hermite_squared_moment,
     hook_moment_closed_form,
+    integrate_power_sum,
     integrate_schur,
-    integrate_symmetric,
-    normalization,
     p2m_closed_form,
     theorem5_rhs,
 )
-from .symschur import (
-    Partition,
-    ShapeError,
-    SizeError,
-    apply_M2,
-    power_sum_monomials,
-    power_sum_vector,
-)
+from .symschur import Partition, ShapeError, SizeError
 from .verify import (
     SUITE_NAMES,
     has_discrepancies,
@@ -76,6 +67,23 @@ def _parse_int_pair(text: str, flag: str):
     return a, b
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+        if n >= 1:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
+
+
 def cmd_moment(args) -> int:
     n_vars = args.n_vars
     query = {"n_vars": n_vars, "method": args.method, "format": args.format}
@@ -101,10 +109,8 @@ def cmd_moment(args) -> int:
         query.update({"kind": "power_sum", "degree": 2 * m})
         if args.method == "closed":
             value = p2m_closed_form(m, n_vars)
-        elif args.method == "oracle":
-            value = apply_M2(power_sum_monomials(m, n_vars), gaussian_moment) / normalization(n_vars)
         else:
-            value = integrate_symmetric(power_sum_vector(m, n_vars))
+            value = integrate_power_sum(m, n_vars, args.method)
         return _emit(value, args, query)
 
     kappa = Partition.from_string(args.schur)
@@ -201,9 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="M,S",
         help="univariate moment of x^(2m) H_s^2",
     )
-    p.add_argument("--n-vars", type=int, default=1, metavar="N", help="number of variables")
+    p.add_argument(
+        "--n-vars", type=_positive_int, default=1, metavar="N", help="number of variables"
+    )
     p.add_argument("--method", choices=("fast", "oracle", "closed"), default="fast")
-    p.add_argument("--at-q", type=Fraction, default=None, metavar="RAT", help="evaluate at q = RAT")
+    p.add_argument(
+        "--at-q", type=_rational, default=None, metavar="RAT", help="evaluate at q = RAT"
+    )
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.set_defaults(func=cmd_moment)
 

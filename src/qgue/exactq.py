@@ -213,7 +213,8 @@ class QPolynomial:
             if self.is_zero:
                 return self
             return QPolynomial._raw((0,) * j + self.coeffs)
-        assert all(c == 0 for c in self.coeffs[:-j])
+        if any(self.coeffs[:-j]):
+            raise ValueError(f"shifted({j}) would drop nonzero coefficients")
         return QPolynomial._raw(self.coeffs[-j:])
 
     def __call__(self, x: Coeff) -> Coeff:
@@ -385,7 +386,8 @@ def _subresultant_gcd(a, b):
             c = rem[i + nb - 1]
             if c:
                 q, r = divmod(c, b[-1])
-                assert r == 0
+                if r:
+                    raise ArithmeticError("pseudo-remainder is not integral; need integer lists")
                 for j in range(nb):
                     rem[i + j] -= q * b[j]
         while rem and rem[-1] == 0:

@@ -28,6 +28,7 @@ from .symschur import (
     SchurVector,
     SizeError,
     apply_M2,
+    power_sum_monomials,
     power_sum_vector,
     schur_monomials,
     sigma_at_zero,
@@ -40,6 +41,7 @@ __all__ = [
     "normalization",
     "integrate_schur",
     "integrate_symmetric",
+    "integrate_power_sum",
     "level_density_moment",
     "hermite_squared_moment",
     "hook_moment_closed_form",
@@ -98,6 +100,15 @@ def integrate_symmetric(f: SchurVector) -> Scalar:
     for p, c in f.entries.items():
         total = total + c * sigma_at_zero(p, f.n_vars)
     return total
+
+
+def integrate_power_sum(m: int, N: int, method: str = "fast") -> Scalar:
+    """Normalized integral of the power sum p_{2m} over N variables."""
+    if method == "fast":
+        return integrate_symmetric(power_sum_vector(m, N))
+    if method == "oracle":
+        return apply_M2(power_sum_monomials(m, N), gaussian_moment) / normalization(N)
+    raise ValueError("method must be 'fast' or 'oracle'")
 
 
 def level_density_moment(p: XPoly, N: int) -> Scalar:
@@ -251,6 +262,8 @@ def pairing_genus_counts(m: int) -> Dict[int, int]:
     glued surface has one face, m edges, and V vertices equal to the cycle
     count of (involution o rotation), so 2 - 2g = V - m + 1.
     """
+    if m < 1:
+        raise ValueError("pairing_genus_counts needs m >= 1")
     n = 2 * m
     counts: Dict[int, int] = {}
 
@@ -278,7 +291,8 @@ def pairing_genus_counts(m: int) -> Dict[int, int]:
                     seen[v] = True
                     v = sigma[(v + 1) % n]
         g, rem = divmod(m + 1 - cycles, 2)
-        assert rem == 0
+        if rem:
+            raise ArithmeticError(f"gluing with {cycles} vertices has odd Euler characteristic")
         counts[g] = counts.get(g, 0) + 1
     return counts
 
@@ -316,14 +330,15 @@ def genus_table(max_m: int) -> List[GenusRow]:
         xs = list(range(m + 2))
         ys = [Fraction(0)]
         for N in range(1, m + 2):
-            ys.append(evaluate_at(integrate_symmetric(power_sum_vector(m, N)), 1))
+            ys.append(evaluate_at(integrate_power_sum(m, N), 1))
         coeffs = _interpolate(xs, ys)
         table: Dict[int, int] = {}
         for k, c in enumerate(coeffs):
             if c == 0:
                 continue
             offset = (m + 1) - k
-            assert offset >= 0 and offset % 2 == 0 and c.denominator == 1, (m, k, c)
+            if offset < 0 or offset % 2 or c.denominator != 1:
+                raise ArithmeticError(f"m={m}: N^{k} coefficient {c} is not a genus count")
             table[offset // 2] = int(c)
         pairing = pairing_genus_counts(m)
         rows.append(GenusRow(m, table, pairing, table == pairing))

@@ -210,36 +210,18 @@ def gaussian_op(p: XPoly, direction: str = "forward") -> XPoly:
     return total
 
 
-def _hermite_closed(n: int) -> XPoly:
-    coeffs = [ZERO] * (n + 1)
-    for k in range(n // 2 + 1):
-        c = q_binomial(n, 2 * k) * m_q(2 * k - 1) * Scalar.q_power(k * (k - 1))
-        coeffs[n - 2 * k] = -c if k % 2 else c
-    return XPoly(coeffs)
-
-
-_HERMITE: list = []
-
-
+@lru_cache(maxsize=None)
 def hermite(n: int) -> XPoly:
-    """The q-Hermite polynomial H_n, via the three-term recurrence.
-
-    Each new polynomial is checked against the closed coefficient formula, so
-    the two constructions cross-validate at build time.
-    """
+    """The q-Hermite polynomial H_n, via the three-term recurrence
+    H_{k+1} = x H_k - q^(k-1) [k]_q H_{k-1}."""
     if n < 0:
         raise ValueError("hermite needs n >= 0")
-    if not _HERMITE:
-        _HERMITE.append(_XP_ONE)
-        _HERMITE.append(XPoly.x_power(1))
-    while len(_HERMITE) <= n:
-        k = len(_HERMITE) - 1
-        nxt = _HERMITE[k].shifted(1) - _HERMITE[k - 1].scale(
-            Scalar.q_power(k - 1) * q_integer(k)
-        )
-        assert nxt == _hermite_closed(k + 1), f"Hermite constructions disagree at n={k + 1}"
-        _HERMITE.append(nxt)
-    return _HERMITE[n]
+    if n < 2:
+        return XPoly.x_power(n)
+    for k in range(2, n - 1):  # fill the cache upward, so no call recurses deeply
+        hermite(k)
+    k = n - 1
+    return hermite(k).shifted(1) - hermite(k - 1).scale(Scalar.q_power(k - 1) * q_integer(k))
 
 
 @lru_cache(maxsize=None)

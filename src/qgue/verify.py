@@ -7,37 +7,25 @@ oracle is nonzero, and when that ratio is plus or minus a single power of
 q the (sign, exponent) pair is extracted, which localizes a defect to a
 sign or exponent slip rather than a structural error.
 
-Grid points are independent pure computations; QGUE_THREADS > 1 evaluates
-them on a thread pool, and results are merged in grid order either way.
+Every suite is a generator of point results in grid order, listed once in
+the registry `_SUITES` with its bound defaults and its report grid label.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exactq import ZERO, Scalar, q_factorial, series_coefficient
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
-from .symschur import (
-    Partition,
-    apply_M2,
-    hook_partition,
-    partitions,
-    power_sum_monomials,
-    power_sum_vector,
-    sigma_at_zero,
-)
+from .symschur import hook_partition, partitions, sigma_at_zero
 from .moments import (
     DegenerateDenominator,
-    gaussian_moment,
     hook_moment_closed_form,
+    integrate_power_sum,
     integrate_schur,
-    integrate_symmetric,
     level_density_moment,
-    normalization,
     p2m_closed_form,
     qhz_lhs,
     qhz_rhs,
@@ -56,19 +44,6 @@ __all__ = [
     "summary_table",
     "has_discrepancies",
 ]
-
-SUITE_NAMES = (
-    "duality",
-    "orthogonality",
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "sigma",
-    "theorem5",
-    "qhz",
-    "truncation",
-)
 
 Params = Tuple[Tuple[str, object], ...]
 
@@ -141,17 +116,13 @@ def _classify(params: Params, closed: Scalar, oracle: Scalar, note: str = None) 
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each is a generator of point results in grid order
 # ---------------------------------------------------------------------------
 
-Point = Tuple[Params, Callable[[], PointResult]]
 
-
-def _duality_points(max_n: int) -> List[Point]:
-    def make(d: int, squared: bool) -> Point:
-        params = (("d", d), ("base", "q^2" if squared else "q"))
-
-        def run() -> PointResult:
+def _duality(max_n: int) -> Iterator[PointResult]:
+    for squared in (False, True):
+        for d in range(max_n + 1):
             # sums are cleared by [d]! so every term reduces to a polynomial
             factor = q_factorial(d, squared)
             total = ZERO
@@ -163,105 +134,62 @@ def _duality_points(max_n: int) -> List[Point]:
                     t = -t
                 total = total + t * factor
             expected = factor if d == 0 else ZERO
-            return _classify(params, total, expected)
-
-        return params, run
-
-    return [make(d, sq) for sq in (False, True) for d in range(max_n + 1)]
+            yield _classify((("d", d), ("base", "q^2" if squared else "q")), total, expected)
 
 
-def _orthogonality_points(max_n: int) -> List[Point]:
-    def make(n: int, m: int) -> Point:
-        params = (("n", n), ("m", m))
-
-        def run() -> PointResult:
+def _orthogonality(max_n: int) -> Iterator[PointResult]:
+    for n in range(max_n + 1):
+        for m in range(max_n + 1):
+            params = (("n", n), ("m", m))
             oracle = functional_L(hermite(n) * hermite(m))
             closed = (
                 Scalar.q_power(n * (n - 1) // 2) * q_factorial(n) if n == m else ZERO
             )
             if closed.is_zero and not oracle.is_zero:
-                return PointResult(params, "discrepant", ratio=None, note="expected zero")
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    return [make(n, m) for n in range(max_n + 1) for m in range(max_n + 1)]
+                yield PointResult(params, "discrepant", ratio=None, note="expected zero")
+            else:
+                yield _classify(params, closed, oracle)
 
 
-def _theorem1_points(max_m: int, max_vars: int) -> List[Point]:
-    def make(m: int, n: int) -> Point:
-        params = (("m", m), ("N", n))
-
-        def run() -> PointResult:
+def _theorem1(max_weight: int, max_vars: int) -> Iterator[PointResult]:
+    for m in range(1, max_weight // 2 + 1):
+        for n in range(1, max_vars + 1):
             closed = level_density_moment(XPoly.x_power(2 * m), n)
-            oracle = integrate_symmetric(power_sum_vector(m, n))
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    return [make(m, n) for m in range(1, max_m + 1) for n in range(1, max_vars + 1)]
+            oracle = integrate_power_sum(m, n, "fast")
+            yield _classify((("m", m), ("N", n)), closed, oracle)
 
 
-def _theorem2_points(max_vars: int, max_ell: int) -> List[Point]:
-    def make(n: int, ell: int, i: int) -> Point:
-        params = (("N", n), ("ell", ell), ("i", i))
-
-        def run() -> PointResult:
-            coeffs = truncated_in_shadow_basis(n, ell, "direct")
-            value = coeffs.get(n - 1 - i, ZERO)
-            closed = -value if (n - 1 - i) % 2 else value
-            oracle = sigma_at_zero(hook_partition(ell + 1, i), n)
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    return [
-        make(n, ell, i)
-        for n in range(1, max_vars + 1)
-        for ell in range(1, max_ell + 1)
-        for i in range(n)
-    ]
+def _theorem2(max_vars: int, max_ell: int) -> Iterator[PointResult]:
+    for n in range(1, max_vars + 1):
+        for ell in range(1, max_ell + 1):
+            for i in range(n):
+                coeffs = truncated_in_shadow_basis(n, ell, "direct")
+                value = coeffs.get(n - 1 - i, ZERO)
+                closed = -value if (n - 1 - i) % 2 else value
+                oracle = sigma_at_zero(hook_partition(ell + 1, i), n)
+                yield _classify((("N", n), ("ell", ell), ("i", i)), closed, oracle)
 
 
-def _theorem3_points(grid: List[Tuple[int, int]]) -> List[Point]:
-    def make(kappa: Partition, n: int) -> Point:
-        params = (("kappa", str(kappa)), ("N", n))
-
-        def run() -> PointResult:
-            return _classify(
-                params,
+def _theorem3_rows(rows: Iterable[Tuple[int, int]]) -> Iterator[PointResult]:
+    """Fast against oracle Schur integrals, for each row (N, max weight)."""
+    for n, max_weight in rows:
+        for kappa in sorted(partitions(max_weight, n)):
+            yield _classify(
+                (("kappa", str(kappa)), ("N", n)),
                 integrate_schur(kappa, n, "fast"),
                 integrate_schur(kappa, n, "oracle"),
             )
 
-        return params, run
 
-    points = []
-    for n, max_weight in grid:
-        for kappa in sorted(partitions(max_weight, n)):
-            points.append(make(kappa, n))
-    return points
-
-
-def _theorem4_points(max_m: int, max_vars: int) -> List[Point]:
-    def make(m: int, n: int, ell: int) -> Point:
-        params = (("m", m), ("N", n), ("ell", ell))
-
-        def run() -> PointResult:
-            closed = hook_moment_closed_form(ell, m, n)
-            mu = hook_partition(ell + 1, 2 * m - ell - 1)
-            oracle = integrate_schur(mu, n, "oracle")
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    points = []
-    for m in range(1, max_m + 1):
+def _theorem4(max_weight: int, max_vars: int) -> Iterator[PointResult]:
+    for m in range(1, max_weight // 2 + 1):
         for n in range(1, max_vars + 1):
             for ell in range(2 * m):
                 if 2 * m - ell <= n:  # hook length fits in n variables
-                    points.append(make(m, n, ell))
-    return points
+                    closed = hook_moment_closed_form(ell, m, n)
+                    mu = hook_partition(ell + 1, 2 * m - ell - 1)
+                    oracle = integrate_schur(mu, n, "oracle")
+                    yield _classify((("m", m), ("N", n), ("ell", ell)), closed, oracle)
 
 
 def _oracle_hook_integral(first: int, ones: int, n: int) -> Scalar:
@@ -271,152 +199,116 @@ def _oracle_hook_integral(first: int, ones: int, n: int) -> Scalar:
     return integrate_schur(hook_partition(first, ones), n, "oracle")
 
 
-def _sigma_points(max_m: int, max_vars: int) -> List[Point]:
-    points: List[Point] = []
-
-    def make_sigma(m: int, t: int, n: int) -> Point:
-        params = (("target", "sigma"), ("m", m), ("t", t), ("N", n))
-
-        def run() -> PointResult:
-            closed = sigma_closed_form(m, t, n)
-            oracle = _oracle_hook_integral(2 * t, 2 * m - 2 * t, n) - _oracle_hook_integral(
-                2 * t + 1, 2 * m - 2 * t - 1, n
-            )
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    def make_p2m(m: int, n: int) -> Point:
-        params = (("target", "p2m"), ("m", m), ("N", n))
-
-        def run() -> PointResult:
-            closed = p2m_closed_form(m, n)
-            oracle = apply_M2(power_sum_monomials(m, n), gaussian_moment) / normalization(n)
-            return _classify(params, closed, oracle)
-
-        return params, run
-
-    for m in range(1, max_m + 1):
+def _sigma(max_weight: int, max_vars: int) -> Iterator[PointResult]:
+    for m in range(1, max_weight // 2 + 1):
         for n in range(1, max_vars + 1):
             for t in range(m + 1):
-                points.append(make_sigma(m, t, n))
-            points.append(make_p2m(m, n))
-    return points
+                closed = sigma_closed_form(m, t, n)
+                oracle = _oracle_hook_integral(
+                    2 * t, 2 * m - 2 * t, n
+                ) - _oracle_hook_integral(2 * t + 1, 2 * m - 2 * t - 1, n)
+                params = (("target", "sigma"), ("m", m), ("t", t), ("N", n))
+                yield _classify(params, closed, oracle)
+            params = (("target", "p2m"), ("m", m), ("N", n))
+            yield _classify(params, p2m_closed_form(m, n), integrate_power_sum(m, n, "oracle"))
 
 
-def _theorem5_points(max_m: int, max_s: int) -> List[Point]:
-    def make(m: int, s: int) -> Point:
-        params = (("m", m), ("s", s))
-
-        def run() -> PointResult:
+def _theorem5(max_weight: int, max_s: int) -> Iterator[PointResult]:
+    for m in range(1, max_weight // 2 + 1):
+        for s in range(max_s + 1):
+            params = (("m", m), ("s", s))
             try:
                 closed = theorem5_rhs(m, s)
             except DegenerateDenominator as exc:
-                return PointResult(params, "discrepant", note=str(exc))
-            shifted_matches = closed == qhz_lhs(m, s)
+                yield PointResult(params, "discrepant", note=str(exc))
+                continue
             note = (
                 "index-shifted normalization matches"
-                if shifted_matches
+                if closed == qhz_lhs(m, s)
                 else "index-shifted normalization differs"
             )
-            return _classify(params, closed, theorem5_lhs(m, s), note=note)
-
-        return params, run
-
-    return [make(m, s) for m in range(1, max_m + 1) for s in range(max_s + 1)]
+            yield _classify(params, closed, theorem5_lhs(m, s), note=note)
 
 
-def _qhz_points(max_m: int, max_s: int) -> List[Point]:
-    def make(m: int, s: int) -> Point:
-        params = (("m", m), ("s", s))
-
-        def run() -> PointResult:
-            return _classify(params, qhz_rhs(m, s), qhz_lhs(m, s))
-
-        return params, run
-
-    return [make(m, s) for m in range(1, max_m + 1) for s in range(max_s + 1)]
+def _qhz(max_weight: int, max_s: int) -> Iterator[PointResult]:
+    for m in range(1, max_weight // 2 + 1):
+        for s in range(max_s + 1):
+            yield _classify((("m", m), ("s", s)), qhz_rhs(m, s), qhz_lhs(m, s))
 
 
-def _truncation_points(max_total: int) -> List[Point]:
-    def make(n: int, ell: int, variant: str) -> Point:
-        params = (("N", n), ("ell", ell), ("variant", variant))
-
-        def run() -> PointResult:
-            direct = truncated_in_shadow_basis(n, ell, "direct")
-            other = truncated_in_shadow_basis(n, ell, variant)
-            if direct == other:
-                return PointResult(params, "equal")
-            # coefficient maps: report the ratio at the lowest disagreeing degree
-            bad = sorted(
-                k
-                for k in set(direct) | set(other)
-                if direct.get(k, ZERO) != other.get(k, ZERO)
-            )
-            k = bad[0]
-            return _classify(
-                params,
-                other.get(k, ZERO),
-                direct.get(k, ZERO),
-                note=f"first mismatch at S_{k} (of {len(bad)} degrees)",
-            )
-
-        return params, run
-
-    return [
-        make(n, ell, variant)
-        for variant in ("closed", "printed")
-        for n in range(1, max_total)
-        for ell in range(1, max_total + 1 - n)
-    ]
+def _truncation(max_total: int) -> Iterator[PointResult]:
+    for variant in ("closed", "printed"):
+        for n in range(1, max_total):
+            for ell in range(1, max_total + 1 - n):
+                params = (("N", n), ("ell", ell), ("variant", variant))
+                direct = truncated_in_shadow_basis(n, ell, "direct")
+                other = truncated_in_shadow_basis(n, ell, variant)
+                if direct == other:
+                    yield PointResult(params, "equal")
+                    continue
+                # coefficient maps: report the ratio at the lowest disagreeing degree
+                bad = sorted(
+                    k
+                    for k in set(direct) | set(other)
+                    if direct.get(k, ZERO) != other.get(k, ZERO)
+                )
+                k = bad[0]
+                yield _classify(
+                    params,
+                    other.get(k, ZERO),
+                    direct.get(k, ZERO),
+                    note=f"first mismatch at S_{k} (of {len(bad)} degrees)",
+                )
 
 
-_SUITE_DEFAULTS = {
-    "duality": {"max_n": 30},
-    "orthogonality": {"max_n": 10},
-    "theorem1": {"max_weight": 6, "max_vars": 3},
-    "theorem2": {"max_vars": 5, "max_n": 4},
-    "theorem3": {"max_weight": 6, "max_vars": 3},
-    "theorem4": {"max_weight": 8, "max_vars": 4},
-    "sigma": {"max_weight": 6, "max_vars": 3},
-    "theorem5": {"max_weight": 6, "max_n": 3},
-    "qhz": {"max_weight": 6, "max_n": 3},
-    "truncation": {"max_n": 10},
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+
+class _Suite(NamedTuple):
+    """A suite's points and its report grid.
+
+    `grid` maps each key of the report's grid label to the bound it reads
+    (max_weight, max_vars or max_n) and that bound's default; `points` takes
+    the label as keywords.  `preset`, when set, is the label and the points
+    used instead when the caller gives none of the suite's bounds.
+    """
+
+    points: Callable[..., Iterator[PointResult]]
+    grid: Dict[str, Tuple[str, int]]
+    preset: Optional[Tuple[Dict[str, int], Callable[[], Iterator[PointResult]]]] = None
+
+
+def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
+    return _theorem3_rows((n, max_weight) for n in range(1, max_vars + 1))
+
+
+_WEIGHT_VARS = {"max_weight": ("max_weight", 6), "max_vars": ("max_vars", 3)}
+_WEIGHT_S = {"max_weight": ("max_weight", 6), "max_s": ("max_n", 3)}
+
+_SUITES: Dict[str, _Suite] = {
+    "duality": _Suite(_duality, {"max_n": ("max_n", 30)}),
+    "orthogonality": _Suite(_orthogonality, {"max_n": ("max_n", 10)}),
+    "theorem1": _Suite(_theorem1, _WEIGHT_VARS),
+    "theorem2": _Suite(_theorem2, {"max_vars": ("max_vars", 5), "max_ell": ("max_n", 4)}),
+    "theorem3": _Suite(
+        _theorem3,
+        _WEIGHT_VARS,
+        # weight 6 up to N = 3, and weight 4 at N = 4
+        preset=(
+            {"max_weight": 6, "max_vars": 4},
+            lambda: _theorem3_rows([(1, 6), (2, 6), (3, 6), (4, 4)]),
+        ),
+    ),
+    "theorem4": _Suite(_theorem4, {"max_weight": ("max_weight", 8), "max_vars": ("max_vars", 4)}),
+    "sigma": _Suite(_sigma, _WEIGHT_VARS),
+    "theorem5": _Suite(_theorem5, _WEIGHT_S),
+    "qhz": _Suite(_qhz, _WEIGHT_S),
+    "truncation": _Suite(_truncation, {"max_total": ("max_n", 10)}),
 }
 
-
-def _build_suite(name: str, max_weight, max_vars, max_n) -> Tuple[SuiteResult, List[Point]]:
-    d = _SUITE_DEFAULTS[name]
-    w = max_weight if max_weight is not None else d.get("max_weight")
-    v = max_vars if max_vars is not None else d.get("max_vars")
-    n = max_n if max_n is not None else d.get("max_n")
-    if name == "duality":
-        return SuiteResult(name, {"max_n": n}), _duality_points(n)
-    if name == "orthogonality":
-        return SuiteResult(name, {"max_n": n}), _orthogonality_points(n)
-    if name == "theorem1":
-        return SuiteResult(name, {"max_weight": w, "max_vars": v}), _theorem1_points(w // 2, v)
-    if name == "theorem2":
-        return SuiteResult(name, {"max_vars": v, "max_ell": n}), _theorem2_points(v, n)
-    if name == "theorem3":
-        if max_weight is None and max_vars is None:
-            grid = [(i, 6) for i in range(1, 4)] + [(4, 4)]
-            label = {"max_weight": 6, "max_vars": 4}
-        else:
-            grid = [(i, w) for i in range(1, v + 1)]
-            label = {"max_weight": w, "max_vars": v}
-        return SuiteResult(name, label), _theorem3_points(grid)
-    if name == "theorem4":
-        return SuiteResult(name, {"max_weight": w, "max_vars": v}), _theorem4_points(w // 2, v)
-    if name == "sigma":
-        return SuiteResult(name, {"max_weight": w, "max_vars": v}), _sigma_points(w // 2, v)
-    if name == "theorem5":
-        return SuiteResult(name, {"max_weight": w, "max_s": n}), _theorem5_points(w // 2, n)
-    if name == "qhz":
-        return SuiteResult(name, {"max_weight": w, "max_s": n}), _qhz_points(w // 2, n)
-    if name == "truncation":
-        return SuiteResult(name, {"max_total": n}), _truncation_points(n)
-    raise ValueError(f"unknown suite {name!r}")
+SUITE_NAMES = tuple(_SUITES)
 
 
 def verify_suite(
@@ -424,32 +316,37 @@ def verify_suite(
     max_weight: Optional[int] = None,
     max_vars: Optional[int] = None,
     max_n: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> List[SuiteResult]:
     """Run the named identity suites and return per-suite reports.
 
     Bounds default per suite; passing a bound overrides it for every suite
-    that uses it.  Guardrail violations surface as SizeError.
+    that uses it.  A requested suite whose grid has no points raises
+    ValueError before any suite is run to completion; guardrail violations
+    surface as SizeError.
     """
     if isinstance(suites, str):
         suites = (suites,)
     names = list(SUITE_NAMES) if "all" in suites else list(suites)
     for name in names:
-        if name not in SUITE_NAMES:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if threads is None:
-        threads = int(os.environ.get("QGUE_THREADS", "1"))
-    results = []
+    given = {"max_weight": max_weight, "max_vars": max_vars, "max_n": max_n}
+    runs = []
     for name in names:
-        suite, points = _build_suite(name, max_weight, max_vars, max_n)
-        runners = [run for _, run in points]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                suite.points = list(pool.map(lambda r: r(), runners))
+        entry = _SUITES[name]
+        if entry.preset and all(given[b] is None for b, _ in entry.grid.values()):
+            grid, points = dict(entry.preset[0]), entry.preset[1]()
         else:
-            suite.points = [run() for run in runners]
-        results.append(suite)
-    return results
+            grid = {k: d if given[b] is None else given[b] for k, (b, d) in entry.grid.items()}
+            points = entry.points(**grid)
+        # evaluate each suite's first point now, so an empty grid fails fast
+        runs.append((SuiteResult(name, grid), next(points, None), points))
+    empty = [suite.identity for suite, first, _ in runs if first is None]
+    if empty:
+        raise ValueError(f"empty grid in suite(s) {', '.join(empty)}; raise the bounds")
+    for suite, first, points in runs:
+        suite.points = [first, *points]
+    return [suite for suite, _, _ in runs]
 
 
 def has_discrepancies(results: List[SuiteResult]) -> bool:

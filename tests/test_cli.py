@@ -154,3 +154,29 @@ def test_table_guardrail(capsys):
     assert code == 2 and "max_m" in err
     code, _, err = run(capsys, "table", "--max-m", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("n_vars", ["0", "-3", "two"])
+def test_moment_rejects_non_positive_n_vars(n_vars):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--power-sum", "2", "--n-vars", n_vars])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("at_q", ["1/0", "half"])
+def test_moment_rejects_bad_at_q(at_q):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--power-sum", "2", "--n-vars", "2", "--at-q", at_q])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "duality", "--max-n", "-5"],
+        ["--suite", "theorem4", "--max-weight", "-2"],
+    ],
+)
+def test_verify_empty_grid_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "empty grid" in err

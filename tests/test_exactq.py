@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgue import (
     ONE,
@@ -18,6 +20,7 @@ from qgue import (
     q_integer,
     series_coefficient,
 )
+from qgue.exactq import _gcd_int, _int_divides, _mul_int, _primitive, _subresultant_gcd
 
 
 def test_q_integer_examples():
@@ -181,3 +184,30 @@ def test_hash_and_equality():
     assert a == b and hash(a) == hash(b)
     assert q_integer(2) != q_integer(3)
     assert ONE == 1 and ZERO == 0 and q_integer(2) != 2
+
+
+def test_shifted_refuses_to_drop_nonzero_coefficients():
+    p = QPolynomial([0, 0, 3, 1])
+    assert p.shifted(-2) == QPolynomial([3, 1])
+    with pytest.raises(ValueError):
+        p.shifted(-3)
+
+
+def test_subresultant_gcd_rejects_non_integer_lists():
+    with pytest.raises(ArithmeticError):
+        _subresultant_gcd([0, Fraction(1, 2)], [1, 2])
+
+
+int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda c: c[-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(int_poly, int_poly, int_poly)
+def test_subresultant_gcd_matches_gcd_int(g, u, v):
+    # the heuristic gcd nearly always succeeds, so the fallback needs its own check
+    g = _primitive(g)
+    a = _primitive(_mul_int(g, u))
+    b = _primitive(_mul_int(g, v))
+    got = _primitive(_subresultant_gcd(a, b))
+    assert got == _gcd_int(a, b)
+    assert _int_divides(g, got) is not None

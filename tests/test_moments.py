@@ -1,6 +1,7 @@
 """The ensemble integral, closed-form evaluators, and genus tables."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from qgue import (
     hermite,
     hermite_squared_moment,
     hook_moment_closed_form,
+    integrate_power_sum,
     integrate_schur,
     integrate_symmetric,
     level_density_moment,
@@ -168,12 +170,39 @@ def test_pairing_genus_counts():
         assert sum(pairing_genus_counts(m).values()) == double_factorial(2 * m - 1)
 
 
+def test_pairing_genus_counts_rejects_empty_polygon():
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            pairing_genus_counts(m)
+
+
 def test_genus_table():
     rows = genus_table(3)
     assert [r.coefficients for r in rows] == [{0: 1}, {0: 2, 1: 1}, {0: 5, 1: 10}]
     assert all(r.matches for r in rows)
     with pytest.raises(SizeError):
         genus_table(7)
+
+
+def test_genus_table_rejects_non_integer_interpolant(monkeypatch):
+    import qgue.moments
+
+    # a moment of N/2 interpolates to the coefficient 1/2, not a genus count
+    monkeypatch.setattr(
+        qgue.moments, "integrate_power_sum", lambda m, N: Scalar.from_fraction(Fraction(N, 2))
+    )
+    with pytest.raises(ArithmeticError):
+        genus_table(1)
+
+
+def test_integrate_power_sum_routes_agree():
+    for m in range(1, 3):
+        for n in range(1, 4):
+            fast = integrate_power_sum(m, n, "fast")
+            assert fast == integrate_power_sum(m, n, "oracle")
+            assert fast == integrate_symmetric(power_sum_vector(m, n))
+    with pytest.raises(ValueError):
+        integrate_power_sum(1, 2, "closed")
 
 
 def test_q1_power_sum_values():

@@ -1,6 +1,9 @@
 """Operators on x-polynomials and the Hermite / shadow families."""
 
+import inspect
 import random
+import sys
+import threading
 
 import pytest
 
@@ -55,18 +58,58 @@ def test_hermite_small_cases():
     assert hermite(3) == x(3) - x(1).scale(q_integer(3))
 
 
+def hermite_closed(n):
+    # the coefficient formula, independent of the recurrence
+    coeffs = [ZERO] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = (
+            Scalar.q_power(k * (k - 1))
+            * q_binomial(n, 2 * k)
+            * m_q(2 * k - 1)
+        )
+        coeffs[n - 2 * k] = -c if k % 2 else c
+    return XPoly(coeffs)
+
+
 def test_hermite_closed_form_matches_recurrence():
-    # rebuild the coefficient formula here, independently of the recurrence
-    for n in range(16):
-        coeffs = [ZERO] * (n + 1)
-        for k in range(n // 2 + 1):
-            c = (
-                Scalar.q_power(k * (k - 1))
-                * q_binomial(n, 2 * k)
-                * m_q(2 * k - 1)
-            )
-            coeffs[n - 2 * k] = -c if k % 2 else c
-        assert hermite(n) == XPoly(coeffs)
+    for n in range(26):
+        assert hermite(n) == hermite_closed(n)
+
+
+def test_hermite_cold_cache_under_concurrent_calls():
+    hermite.cache_clear()
+    barrier = threading.Barrier(8)
+    results = []
+
+    def worker():
+        barrier.wait(timeout=60)
+        results.append(hermite(12))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so an unguarded cache would interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = hermite_closed(12)
+    assert len(results) == 8 and all(r == expected for r in results)
+
+
+def test_hermite_cold_build_keeps_the_stack_shallow():
+    # 25 frames of headroom: a build that recursed once per degree would overflow
+    hermite.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        h = hermite(30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert h == hermite_closed(30)
 
 
 def test_derivative_lowers_hermite_and_shadow():

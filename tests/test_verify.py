@@ -1,6 +1,7 @@
 """The errata harness: classifications, report schema, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,13 +109,44 @@ def test_report_schema_and_round_trip():
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
 
 
-def test_deterministic_and_thread_parity():
+def test_report_is_deterministic():
     a = render_json(verify_suite(["theorem2", "sigma"], max_weight=2, max_vars=2, max_n=2))
     b = render_json(verify_suite(["theorem2", "sigma"], max_weight=2, max_vars=2, max_n=2))
-    c = render_json(
-        verify_suite(["theorem2", "sigma"], max_weight=2, max_vars=2, max_n=2, threads=3)
-    )
-    assert a == b == c
+    assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, suites, bounds",
+    [
+        # every suite with all three bounds given
+        ("all_w4_v2_n3.json", ["all"], {"max_weight": 4, "max_vars": 2, "max_n": 3}),
+        # theorem3 with only one of its two bounds given
+        ("theorem3_w4.json", ["theorem3"], {"max_weight": 4}),
+    ],
+)
+def test_report_matches_golden_bytes(golden, suites, bounds):
+    assert render_json(verify_suite(suites, **bounds)) == (GOLDEN / golden).read_text()
+
+
+def test_theorem3_default_grid():
+    # max_n is not a theorem3 bound, so the default grid still applies
+    suite = verify_suite(["theorem3"], max_n=2)[0]
+    assert suite.grid == {"max_weight": 6, "max_vars": 4}
+    top = {}
+    for p in suite.points:
+        params = dict(p.params)
+        weight = sum(int(part) for part in params["kappa"].split(",") if part)
+        top[params["N"]] = max(top.get(params["N"], 0), weight)
+    assert top == {1: 6, 2: 6, 3: 6, 4: 4}
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(ValueError, match="theorem4, qhz") as exc:
+        verify_suite(["theorem4", "qhz", "orthogonality"], max_weight=-2, max_n=1)
+    assert "orthogonality" not in str(exc.value)
 
 
 def test_summary_table_lists_every_suite():
