@@ -15,6 +15,7 @@ from fractions import Fraction
 from .exactq import PoleError, Scalar, evaluate_at, q_factorial
 from .moments import (
     GENUS_MAX_M,
+    HERMITE_SQ_MAX_DEGREE,
     DegenerateDenominator,
     genus_table,
     hermite_squared_moment,
@@ -94,6 +95,10 @@ def cmd_moment(args) -> int:
 
     if args.hermite_sq is not None:
         m, s = args.hermite_sq
+        if 2 * (m + s) > HERMITE_SQ_MAX_DEGREE:
+            raise SizeError(
+                f"--hermite-sq limited to 2(m+s) <= {HERMITE_SQ_MAX_DEGREE}, got {2 * (m + s)}"
+            )
         query.update({"kind": "hermite_squared", "m": m, "s": s})
         if args.method == "closed":
             value = theorem5_rhs(m, s) * Scalar.q_power(s * (s + 1) // 2) * q_factorial(s + 1)

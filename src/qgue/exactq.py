@@ -7,6 +7,9 @@ This is the ground field for the whole package.  Three layers:
     `int` so the polynomial kernels mostly run on machine integers.
   * `QPolynomial`: dense univariate polynomial in q, trailing zeros
     stripped; the zero polynomial is the empty coefficient sequence.
+    Multiplication and evaluation run the coefficient-list kernels below
+    directly; exact division and the gcd run them on the primitive
+    integer parts, so every Z[q] loop is written once.
   * `Scalar`: a reduced ratio num/den of two `QPolynomial` with monic
     denominator.  Construction always canonicalizes, so `==` on Scalars
     is exact field equality.
@@ -52,22 +55,70 @@ def _norm(c: Coeff) -> Coeff:
     return c
 
 
-def _divc(a: Coeff, b: Coeff) -> Coeff:
-    """Exact division of coefficients, keeping ints when possible."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-        return Fraction(a, b)
-    return _norm(Fraction(a) / Fraction(b))
-
-
 def _invc(b: Coeff) -> Coeff:
     if b == 1:
         return 1
     if b == -1:
         return -1
     return _norm(Fraction(1) / Fraction(b))
+
+
+# ---------------------------------------------------------------------------
+# Z[q] kernels on ascending coefficient lists
+# ---------------------------------------------------------------------------
+
+
+def _primitive(ints):
+    """The primitive part of an integer list, with positive leading coefficient."""
+    g = 0
+    for c in ints:
+        g = math.gcd(g, c)
+    if g == 0:
+        return ints
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _eval_int(coeffs, x: Coeff) -> Coeff:
+    """Horner evaluation; int and Fraction coefficients alike."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _mul_int(a, b):
+    """Schoolbook product of two nonempty lists; int and Fraction coefficients alike."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _int_divides(g, a):
+    """Exact integer-polynomial division a/g, or None at the first non-integral step."""
+    dd = len(a) - len(g)
+    if dd < 0:
+        return None
+    rem = list(a)
+    lg = g[-1]
+    ng = len(g)
+    out = [0] * (dd + 1)
+    for i in range(dd, -1, -1):
+        c = rem[i + ng - 1]
+        if c:
+            q, r = divmod(c, lg)
+            if r:
+                return None
+            out[i] = q
+            for j in range(ng - 1):
+                rem[i + j] -= q * g[j]
+    if any(rem[j] for j in range(ng - 1)):
+        return None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +244,7 @@ class QPolynomial:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPolynomial(out)
+        return QPolynomial(_mul_int(a, b))
 
     def scale(self, c: Coeff) -> "QPolynomial":
         if c == 0:
@@ -218,133 +264,61 @@ class QPolynomial:
         return QPolynomial._raw(self.coeffs[-j:])
 
     def __call__(self, x: Coeff) -> Coeff:
-        acc: Coeff = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _eval_int(self.coeffs, x)
 
     # -- division ------------------------------------------------------------
 
     def exact_div(self, other: "QPolynomial") -> Optional["QPolynomial"]:
-        """Return self/other when the division is exact, else None."""
+        """Return self/other when the division is exact, else None.
+
+        The primitive integer parts are divided over Z: by Gauss's lemma a
+        primitive divisor of an integer polynomial over Q divides it over Z.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return _QP_ZERO
-        dd = self.degree - other.degree
-        if dd < 0:
+        if self.degree < other.degree:
             return None
         if other.degree == 0:
             return self.scale(_invc(other.coeffs[0]))
-        # integer-image filter: if both primitive integer images exist and the
-        # divisor's value does not divide the dividend's, division cannot be exact
-        pa = self._int_primitive()
-        pb = other._int_primitive()
-        va = _eval_int(pa[1], 2)
-        vb = _eval_int(pb[1], 2)
-        if vb != 0 and va % vb != 0:
+        sa, pa = self._int_primitive()
+        sb, pb = other._int_primitive()
+        # integer-image filter: if the divisor's value at 2 does not divide the
+        # dividend's, the division cannot be exact
+        vb = _eval_int(pb, 2)
+        if vb != 0 and _eval_int(pa, 2) % vb != 0:
             return None
-        a = list(self.coeffs)
-        b = other.coeffs
-        nb = len(b)
-        lb = b[-1]
-        out = [0] * (dd + 1)
-        for i in range(dd, -1, -1):
-            c = a[i + nb - 1]
-            if c:
-                c = _divc(c, lb)
-                out[i] = c
-                for j in range(nb - 1):
-                    a[i + j] -= c * b[j]
-        if any(a[j] for j in range(nb - 1)):
+        quot = _int_divides(pb, pa)
+        if quot is None:
             return None
-        return QPolynomial(out)
+        return QPolynomial(quot).scale(_norm(sa / sb))
 
     def _int_primitive(self):
-        """Return (scale, int coefficient list) with self = scale * primitive."""
+        """Return (scale, primitive int coefficient list) with self = scale * primitive."""
         if self._prim is None:
-            if not self.coeffs:
-                self._prim = (Fraction(0), [])
-            else:
-                den = 1
-                for c in self.coeffs:
-                    if type(c) is Fraction:
-                        den = den * c.denominator // math.gcd(den, c.denominator)
-                ints = [int(c * den) for c in self.coeffs]
-                g = 0
-                for c in ints:
-                    g = math.gcd(g, c)
-                if ints[-1] < 0:
-                    g = -g
-                self._prim = (Fraction(g, den), [c // g for c in ints])
+            den = math.lcm(*(c.denominator for c in self.coeffs if type(c) is Fraction))
+            ints = [int(c * den) for c in self.coeffs]
+            prim = _primitive(ints)
+            self._prim = (Fraction(ints[-1], den * prim[-1]) if ints else Fraction(0), prim)
         return self._prim
-
-    def deflate_root(self, x0: Coeff) -> "QPolynomial":
-        """Divide by (q - x0); assumes x0 is a root."""
-        out = [0] * len(self.coeffs[1:])
-        acc: Coeff = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * x0 + self.coeffs[i]
-            out[i - 1] = acc
-        return QPolynomial(out)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return _format_poly(self.coeffs)
+        return _join_terms(self.coeffs, _coeff_str)
 
     def latex(self) -> str:
-        return _latex_poly(self.coeffs)
+        return _join_terms(self.coeffs, _latex_coeff)
 
 
 _QP_ZERO = QPolynomial._raw(())
 _QP_ONE = QPolynomial._raw((1,))
 
 
-def _eval_int(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # polynomial gcd: heuristic gcd with a subresultant fallback
 # ---------------------------------------------------------------------------
-
-
-def _primitive(ints):
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g == 0:
-        return ints
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-
-def _int_divides(g, a):
-    """Exact integer-polynomial division a/g, or None."""
-    dd = len(a) - len(g)
-    if dd < 0:
-        return None
-    rem = list(a)
-    lg = g[-1]
-    ng = len(g)
-    out = [0] * (dd + 1)
-    for i in range(dd, -1, -1):
-        c = rem[i + ng - 1]
-        if c:
-            q, r = divmod(c, lg)
-            if r:
-                return None
-            out[i] = q
-            for j in range(ng - 1):
-                rem[i + j] -= q * g[j]
-    if any(rem[j] for j in range(ng - 1)):
-        return None
-    return out
 
 
 def _heu_gcd(a, b):
@@ -403,15 +377,6 @@ def _subresultant_gcd(a, b):
             return [1]
 
 
-def _mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def _gcd_int(a, b):
     """Full gcd of primitive integer coefficient lists (primitive, positive leading)."""
     g = _heu_gcd(a, b)
@@ -429,9 +394,9 @@ def _gcd_int(a, b):
 def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Primitive positive-leading gcd over the integers."""
     if a.is_zero:
-        return QPolynomial(_primitive(b._int_primitive()[1]))
+        return QPolynomial(b._int_primitive()[1])
     if b.is_zero:
-        return QPolynomial(_primitive(a._int_primitive()[1]))
+        return QPolynomial(a._int_primitive()[1])
     return QPolynomial(_gcd_int(a._int_primitive()[1], b._int_primitive()[1]))
 
 
@@ -672,19 +637,13 @@ def _coeff_str(c: Coeff, power: int) -> str:
     return f"{c}{var}"
 
 
-def _format_poly(coeffs) -> str:
-    if not coeffs:
-        return "0"
+def _join_terms(coeffs, term) -> str:
+    """Signed ascending sum of term(|c|, k) over the nonzero coefficients c of q**k."""
     parts = []
     for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = _coeff_str(abs(c), k)
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if c > 0 else f"-{term}")
-    return "".join(parts)
+        if c:
+            parts.append(("-" if c < 0 else "+" if parts else "") + term(abs(c), k))
+    return "".join(parts) or "0"
 
 
 def _latex_coeff(c: Coeff, power: int) -> str:
@@ -699,20 +658,6 @@ def _latex_coeff(c: Coeff, power: int) -> str:
     else:
         cs = "" if (c == 1 and var) else str(c)
     return (cs + var) or "1"
-
-def _latex_poly(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = _latex_coeff(abs(c), k)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+" if c > 0 else "-") + term)
-    return "".join(parts)
 
 
 def _fold_q_integers(p: QPolynomial):
@@ -757,7 +702,7 @@ def _latex_side(p: QPolynomial, fold: bool) -> str:
                 e = factors[n]
                 out += "[%d]_q" % n if e == 1 else "[%d]_q^{%d}" % (n, e)
             return out
-    return _latex_poly(p.coeffs)
+    return _join_terms(p.coeffs, _latex_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -826,16 +771,13 @@ def series_coefficient(k: int, which: str, squared: bool = False) -> Scalar:
 
 
 def evaluate_at(s: Scalar, q0) -> Fraction:
-    """Evaluate s at q = q0, cancelling any common (q - q0) factors first."""
+    """Evaluate s at q = q0.
+
+    A Scalar's num and den are coprime, so they share no root and a
+    vanishing denominator is a pole.
+    """
     x = _norm(Fraction(q0))
-    num, den = s.num, s.den
-    nv = num(x)
-    dv = den(x)
-    while dv == 0 and nv == 0:
-        num = num.deflate_root(x)
-        den = den.deflate_root(x)
-        nv = num(x)
-        dv = den(x)
+    dv = s.den(x)
     if dv == 0:
         raise PoleError(f"pole at q = {q0}")
-    return Fraction(nv) / Fraction(dv)
+    return Fraction(s.num(x)) / Fraction(dv)

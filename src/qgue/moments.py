@@ -28,6 +28,7 @@ from .symschur import (
     SchurVector,
     SizeError,
     apply_M2,
+    check_oracle_size,
     power_sum_monomials,
     power_sum_vector,
     schur_monomials,
@@ -55,9 +56,14 @@ __all__ = [
     "pairing_genus_counts",
     "genus_table",
     "GENUS_MAX_M",
+    "HERMITE_SQ_MAX_DEGREE",
 ]
 
 GENUS_MAX_M = 6
+# bound on the x-degree 2(m+s) of a hermite_squared_moment request made from
+# the command line; the cold cost grows steeply with it (15 s for m = 0,
+# s = 30 on a 2-vCPU machine)
+HERMITE_SQ_MAX_DEGREE = 60
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -84,13 +90,19 @@ def normalization(N: int) -> Scalar:
     return apply_M2(MonomialMap.constant(N, ONE), gaussian_moment)
 
 
+def _oracle_integral(f: MonomialMap) -> Scalar:
+    """The definitional normalized integral L2(f) / L2(1)."""
+    return apply_M2(f, gaussian_moment) / normalization(f.n_vars)
+
+
 @lru_cache(maxsize=None)
 def integrate_schur(kappa: Partition, N: int, method: str = "fast") -> Scalar:
     """Normalized integral of the Schur polynomial s_kappa over N variables."""
     if method == "fast":
         return sigma_at_zero(kappa, N)
     if method == "oracle":
-        return apply_M2(schur_monomials(kappa, N), gaussian_moment) / normalization(N)
+        check_oracle_size(N, kappa.weight)
+        return _oracle_integral(schur_monomials(kappa, N))
     raise ValueError("method must be 'fast' or 'oracle'")
 
 
@@ -107,7 +119,8 @@ def integrate_power_sum(m: int, N: int, method: str = "fast") -> Scalar:
     if method == "fast":
         return integrate_symmetric(power_sum_vector(m, N))
     if method == "oracle":
-        return apply_M2(power_sum_monomials(m, N), gaussian_moment) / normalization(N)
+        check_oracle_size(N, 2 * m)
+        return _oracle_integral(power_sum_monomials(m, N))
     raise ValueError("method must be 'fast' or 'oracle'")
 
 

@@ -239,11 +239,7 @@ def truncated_shadow(N: int, ell: int) -> XPoly:
     """The part of S_{N+ell} divisible by x**N: the sum stops at k = ell // 2."""
     if N < 1 or ell < 1:
         raise ValueError("truncated_shadow needs N >= 1 and ell >= 1")
-    n = N + ell
-    coeffs = [ZERO] * (n + 1)
-    for k in range(ell // 2 + 1):
-        coeffs[n - 2 * k] = q_binomial(n, 2 * k) * m_q(2 * k - 1)
-    return XPoly(coeffs)
+    return XPoly((ZERO,) * N + shadow_hermite(N + ell).coeffs[N:])
 
 
 def truncated_in_shadow_basis(N: int, ell: int, method: str = "direct") -> Dict[int, Scalar]:

@@ -43,6 +43,7 @@ __all__ = [
     "hook_decomposition",
     "apply_M0",
     "apply_M2",
+    "check_oracle_size",
     "generalized_binomial",
     "det",
 ]
@@ -475,14 +476,20 @@ def apply_M2(f: MonomialMap, moments: Moments) -> Scalar:
     """The definitional brute-force integral: expand f times the squared
     Vandermonde factor and apply the functional coordinatewise."""
     n = f.n_vars
-    if n > ORACLE_MAX_VARS:
-        raise SizeError(f"oracle limited to {ORACLE_MAX_VARS} variables, got {n}")
-    degree = f.total_degree + n * (n - 1)
+    check_oracle_size(n, f.total_degree)
+    return apply_M0(f * _vandermonde_squared(n), moments)
+
+
+def check_oracle_size(n_vars: int, degree: int) -> None:
+    """Raise SizeError unless apply_M2 may expand a polynomial of this total
+    degree in n_vars variables; cheap enough to run before building it."""
+    if n_vars > ORACLE_MAX_VARS:
+        raise SizeError(f"oracle limited to {ORACLE_MAX_VARS} variables, got {n_vars}")
+    degree += n_vars * (n_vars - 1)
     if degree > ORACLE_MAX_DEGREE:
         raise SizeError(
             f"oracle limited to total degree {ORACLE_MAX_DEGREE}, got {degree}"
         )
-    return apply_M0(f * _vandermonde_squared(n), moments)
 
 
 def generalized_binomial(lam: Partition, kappa: Partition, n_vars: int) -> Scalar:

@@ -65,6 +65,9 @@ def test_moment_closed_banner(capsys):
 def test_moment_hermite_sq(capsys):
     code, out, _ = run(capsys, "moment", "--hermite-sq", "1,1")
     assert code == 0 and out == "1+q+q^2\n"
+    # the largest request the benchmark makes stays inside the x-degree bound
+    code, out, _ = run(capsys, "moment", "--hermite-sq", "4,20")
+    assert code == 0 and out.startswith("q^260+24q^261+")
 
 
 def test_moment_errors(capsys):
@@ -72,6 +75,11 @@ def test_moment_errors(capsys):
     assert code == 2 and "even" in err
     code, _, err = run(capsys, "moment", "--schur", "1,1", "--n-vars", "6", "--method", "oracle")
     assert code == 2 and "oracle" in err
+    # the guardrail fires before the Schur polynomial is expanded
+    code, _, err = run(capsys, "moment", "--schur", "20,10", "--n-vars", "5", "--method", "oracle")
+    assert code == 2 and "total degree 40, got 50" in err
+    code, _, err = run(capsys, "moment", "--hermite-sq", "0,1200")
+    assert code == 2 and "2(m+s) <= 60, got 2400" in err
     code, _, err = run(capsys, "moment", "--schur", "1,1,1", "--n-vars", "2")
     assert code == 2
     code, _, err = run(capsys, "moment", "--schur", "2,2", "--method", "closed", "--n-vars", "2")

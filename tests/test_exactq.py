@@ -72,6 +72,10 @@ def test_evaluate_at():
     with pytest.raises(PoleError):
         evaluate_at(Scalar(ONE.num, QPolynomial([1, -1])), 1)
     assert evaluate_at(q_binomial(4, 2), Fraction(1, 2)) == Fraction(35, 16)
+    # a common factor 2q - 1 cancels on construction, so q = 1/2 is no pole
+    p, s, root = QPolynomial([1, 0, 3]), QPolynomial([5, -1]), QPolynomial([-1, 2])
+    half = Fraction(1, 2)
+    assert evaluate_at(Scalar(p * root, s * root), half) == p(half) / s(half)
 
 
 def _random_scalar(rng):
@@ -169,6 +173,7 @@ def test_string_rendering_contract():
     assert str(ONE / (ONE - Scalar.q_power(1))) == "-1/(-1+q)"
     assert str(Scalar.q_power(2) / (ONE + Scalar.q_power(1))) == "q^2/(1+q)"
     assert str(Scalar.from_fraction(Fraction(-3, 2))) == "-3/2"
+    assert str(QPolynomial([Fraction(1, 2), 0, -3, Fraction(-2, 3), 1])) == "1/2-3q^2-(2/3)q^3+q^4"
 
 
 def test_latex_rendering():
@@ -176,6 +181,10 @@ def test_latex_rendering():
     assert (q_factorial(3) * Scalar.q_power(2)).latex() == "q^{2}[3]_q[2]_q"
     assert series_coefficient(2, "e", squared=True).latex() == r"\frac{1}{1+q^{2}}"
     assert (ONE + q_integer(3)).latex() == "2+q+q^{2}"
+    assert (
+        QPolynomial([Fraction(1, 2), 0, -3, Fraction(-2, 3), 1]).latex()
+        == r"\tfrac{1}{2}-3q^{2}-\tfrac{2}{3}q^{3}+q^{4}"
+    )
 
 
 def test_hash_and_equality():
@@ -211,3 +220,18 @@ def test_subresultant_gcd_matches_gcd_int(g, u, v):
     got = _primitive(_subresultant_gcd(a, b))
     assert got == _gcd_int(a, b)
     assert _int_divides(g, got) is not None
+
+
+rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+rat_poly = st.lists(rat, min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rat_poly, rat_poly.filter(lambda c: len(c) > 1 and abs(c[-1]) != 1), st.data())
+def test_exact_div_on_rational_coefficients(a, b, data):
+    # exact division runs on the primitive integer parts, so the divisor's
+    # content and non-unit leading coefficient must come back out exactly
+    a, b = QPolynomial(a), QPolynomial(b)
+    assert (a * b).exact_div(b) == a
+    r = data.draw(st.lists(rat, min_size=1, max_size=b.degree).filter(any))
+    assert (a * b + QPolynomial(r)).exact_div(b) is None
