@@ -16,6 +16,8 @@ from .exactq import PoleError, Scalar, evaluate_at, q_factorial
 from .moments import (
     GENUS_MAX_M,
     HERMITE_SQ_MAX_DEGREE,
+    MOMENT_MAX_DEGREE,
+    MOMENT_MAX_WEIGHT,
     DegenerateDenominator,
     genus_table,
     hermite_squared_moment,
@@ -85,6 +87,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
 
 
+def _check_moment_size(n_vars: int, first_part: int, weight: int) -> None:
+    """Bound a fast or closed Schur or power-sum request before any work."""
+    degree = first_part + n_vars - 1
+    if degree > MOMENT_MAX_DEGREE or weight > MOMENT_MAX_WEIGHT:
+        raise SizeError(
+            f"fast and closed moments limited to largest part + N - 1 <= {MOMENT_MAX_DEGREE} "
+            f"and weight <= {MOMENT_MAX_WEIGHT}, got {degree} and {weight}"
+        )
+
+
 def cmd_moment(args) -> int:
     n_vars = args.n_vars
     query = {"n_vars": n_vars, "method": args.method, "format": args.format}
@@ -111,6 +123,8 @@ def cmd_moment(args) -> int:
             print("error: --power-sum expects a positive even integer", file=sys.stderr)
             return 2
         m = args.power_sum // 2
+        if args.method != "oracle":
+            _check_moment_size(n_vars, 2 * m, 2 * m)
         query.update({"kind": "power_sum", "degree": 2 * m})
         if args.method == "closed":
             value = p2m_closed_form(m, n_vars)
@@ -119,6 +133,8 @@ def cmd_moment(args) -> int:
         return _emit(value, args, query)
 
     kappa = Partition.from_string(args.schur)
+    if args.method != "oracle":
+        _check_moment_size(n_vars, kappa.part(0), kappa.weight)
     query.update({"kind": "schur", "partition": str(kappa)})
     if args.method == "closed":
         parts = kappa.parts

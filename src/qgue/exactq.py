@@ -505,12 +505,10 @@ class Scalar:
 
     def as_signed_q_power(self):
         """Return (sign, j) when self == sign * q**j with sign in {1, -1}, else None."""
-        if len(self.num.coeffs) != sum(1 for c in self.num.coeffs if c == 0) + 1:
+        if self.num.is_zero or any(self.num.coeffs[:-1]):
             return None
         lead = self.num.leading
         if lead not in (1, -1):
-            return None
-        if any(c for c in self.num.coeffs[:-1]):
             return None
         dv = self.den.valuation
         if self.den.coeffs[dv:] != (1,):
@@ -521,7 +519,9 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if type(other) is not int:
+                return NotImplemented
+            other = Scalar(other)
         a, b = self.num, self.den
         c, d = other.num, other.den
         if a.is_zero:
@@ -530,22 +530,9 @@ class Scalar:
             return self
         if b == d:
             return Scalar(a + c, b)
-        if b.is_one:
-            return Scalar(a * d + c, d)
-        if d.is_one:
-            return Scalar(a + c * b, b)
-        w = d.exact_div(b)
-        if w is not None:
-            return Scalar(a * w + c, d)
-        w = b.exact_div(d)
-        if w is not None:
-            return Scalar(a + c * w, b)
-        g = _poly_gcd(b, d)
-        if g.degree > 0:
-            db = b.exact_div(g)
-            dd = d.exact_div(g)
-            return Scalar(a * dd + c * db, b * dd)
         return Scalar(a * d + c * b, b * d)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         return Scalar._make(-self.num, self.den)
@@ -555,12 +542,16 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if type(other) is not int:
+                return NotImplemented
+            other = Scalar(other)
         if self.num.is_zero or other.num.is_zero:
             return ZERO
         if self.den.is_one and other.den.is_one:
             return Scalar._make(self.num * other.num, _QP_ONE)
         return Scalar(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.num.is_zero:
@@ -605,13 +596,13 @@ class Scalar:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
-    def latex(self, fold: bool = True) -> str:
+    def latex(self) -> str:
         if self.num.is_zero:
             return "0"
-        ns = _latex_side(self.num, fold)
+        ns = _latex_side(self.num)
         if self.den.is_one:
             return ns
-        return r"\frac{%s}{%s}" % (ns, _latex_side(self.den, fold))
+        return r"\frac{%s}{%s}" % (ns, _latex_side(self.den))
 
 
 ZERO = Scalar._make(_QP_ZERO, _QP_ONE)
@@ -684,24 +675,23 @@ def _fold_q_integers(p: QPolynomial):
     return _norm(scale), v, factors
 
 
-def _latex_side(p: QPolynomial, fold: bool) -> str:
-    if fold:
-        folded = _fold_q_integers(p)
-        if folded is not None and folded[2]:
-            c, v, factors = folded
-            out = ""
-            if c == -1:
-                out += "-"
-            elif c != 1:
-                out += _latex_coeff(abs(c), 0) if c > 0 else "-" + _latex_coeff(abs(c), 0)
-            if v == 1:
-                out += "q"
-            elif v:
-                out += "q^{%d}" % v
-            for n in sorted(factors, reverse=True):
-                e = factors[n]
-                out += "[%d]_q" % n if e == 1 else "[%d]_q^{%d}" % (n, e)
-            return out
+def _latex_side(p: QPolynomial) -> str:
+    folded = _fold_q_integers(p)
+    if folded is not None and folded[2]:
+        c, v, factors = folded
+        out = ""
+        if c == -1:
+            out += "-"
+        elif c != 1:
+            out += _latex_coeff(abs(c), 0) if c > 0 else "-" + _latex_coeff(abs(c), 0)
+        if v == 1:
+            out += "q"
+        elif v:
+            out += "q^{%d}" % v
+        for n in sorted(factors, reverse=True):
+            e = factors[n]
+            out += "[%d]_q" % n if e == 1 else "[%d]_q^{%d}" % (n, e)
+        return out
     return _join_terms(p.coeffs, _latex_coeff)
 
 

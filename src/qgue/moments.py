@@ -57,6 +57,8 @@ __all__ = [
     "genus_table",
     "GENUS_MAX_M",
     "HERMITE_SQ_MAX_DEGREE",
+    "MOMENT_MAX_DEGREE",
+    "MOMENT_MAX_WEIGHT",
 ]
 
 GENUS_MAX_M = 6
@@ -64,6 +66,12 @@ GENUS_MAX_M = 6
 # the command line; the cold cost grows steeply with it (15 s for m = 0,
 # s = 30 on a 2-vCPU machine)
 HERMITE_SQ_MAX_DEGREE = 60
+# bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
+# or closed Schur or power-sum request from the command line; the N x N
+# determinant's cost grows with both, unevenly across shapes (up to 25 s at the
+# bound, for kappa = 3,2,2,2,1,1,1 and N = 21 on a 2-vCPU machine)
+MOMENT_MAX_DEGREE = 23
+MOMENT_MAX_WEIGHT = 12
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -87,7 +95,7 @@ def normalization(N: int) -> Scalar:
     """Total mass L2(1) of the unnormalized N-variable integral."""
     if N < 1:
         raise ValueError("normalization needs N >= 1")
-    return apply_M2(MonomialMap.constant(N, ONE), gaussian_moment)
+    return apply_M2(MonomialMap.constant(N, 1), gaussian_moment)
 
 
 def _oracle_integral(f: MonomialMap) -> Scalar:

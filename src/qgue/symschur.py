@@ -7,7 +7,9 @@ Two parallel routes to multivariate integrals live here:
     coefficients, so no multivariate algebra is needed;
   * the oracle route: expand everything into monomials (`MonomialMap`),
     multiply by the squared Vandermonde factor, and apply a univariate
-    functional coordinatewise.
+    functional coordinatewise.  The alternants, Schur polynomials and
+    power sums have integer coefficients, so this route computes over Z
+    and q enters only through the moments, in `apply_M0`.
 
 Determinant orientation is fixed once and for all: in every alternant the
 row index is the variable and column j carries exponent kappa_j + N - j
@@ -18,7 +20,8 @@ coefficients are nonnegative integers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from itertools import permutations
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
 from .qxpoly import XPoly, hermite, shadow_hermite
@@ -152,23 +155,28 @@ def hook_partition(first: int, ones: int) -> Partition:
     return Partition((first,) + (1,) * ones)
 
 
+Coefficient = Union[int, Scalar]
+
+
 class MonomialMap:
-    """Sparse multivariate polynomial: exponent tuples of fixed length to Scalars."""
+    """Sparse multivariate polynomial: exponent tuples of fixed length to
+    coefficients, int in every map the library builds.  Coefficients are only
+    added, multiplied and tested for truth, so Scalar values work too."""
 
     __slots__ = ("n_vars", "terms")
 
-    def __init__(self, n_vars: int, terms: Dict[Tuple[int, ...], Scalar] = None):
+    def __init__(self, n_vars: int, terms: Dict[Tuple[int, ...], Coefficient] = None):
         self.n_vars = n_vars
-        clean: Dict[Tuple[int, ...], Scalar] = {}
+        clean: Dict[Tuple[int, ...], Coefficient] = {}
         for exps, c in (terms or {}).items():
             if len(exps) != n_vars:
                 raise ValueError("exponent tuple of wrong length")
-            if not c.is_zero:
+            if c:
                 clean[exps] = c
         self.terms = clean
 
     @classmethod
-    def constant(cls, n_vars: int, value: Scalar) -> "MonomialMap":
+    def constant(cls, n_vars: int, value: Coefficient) -> "MonomialMap":
         return cls(n_vars, {(0,) * n_vars: value})
 
     @property
@@ -187,36 +195,19 @@ class MonomialMap:
     def __add__(self, other: "MonomialMap") -> "MonomialMap":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return MonomialMap(self.n_vars, out)
 
-    def __neg__(self) -> "MonomialMap":
-        return MonomialMap(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MonomialMap") -> "MonomialMap":
-        return self + (-other)
-
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
-        out: Dict[Tuple[int, ...], Scalar] = {}
+        out: Dict[Tuple[int, ...], Coefficient] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, 0) + ca * cb
         return MonomialMap(self.n_vars, out)
 
-    def scale(self, c: Scalar) -> "MonomialMap":
-        if c.is_zero:
+    def scale(self, c: Coefficient) -> "MonomialMap":
+        if not c:
             return MonomialMap(self.n_vars)
         return MonomialMap(self.n_vars, {e: v * c for e, v in self.terms.items()})
 
@@ -225,29 +216,14 @@ class MonomialMap:
         return f"MonomialMap({self.n_vars}, {{{', '.join(f'{e}: {self.terms[e]}' for e in items)}}})"
 
 
-def _perm_signs(n: int) -> List[Tuple[Tuple[int, ...], int]]:
-    from itertools import permutations
-
-    out = []
+def _alternant(exponents: Tuple[int, ...], n: int) -> MonomialMap:
+    """det[x_i ** exponents[j]] over rows i = variables, columns j.  Every
+    caller passes strictly decreasing exponents, so no two permutations give
+    the same monomial."""
+    terms: Dict[Tuple[int, ...], int] = {}
     for perm in permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        out.append((perm, -1 if inv % 2 else 1))
-    return out
-
-
-def _alternant(exponents: Tuple[int, ...], n: int) -> MonomialMap:
-    """det[x_i ** exponents[j]] over rows i = variables, columns j."""
-    terms: Dict[Tuple[int, ...], Scalar] = {}
-    minus_one = -ONE
-    for perm, sig in _perm_signs(n):
-        e = tuple(exponents[perm[i]] for i in range(n))
-        c = ONE if sig > 0 else minus_one
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s.is_zero:
-            terms.pop(e, None)
-        else:
-            terms[e] = s
+        terms[tuple(exponents[p] for p in perm)] = -1 if inv % 2 else 1
     return MonomialMap(n, terms)
 
 
@@ -264,29 +240,29 @@ def _vandermonde_squared(n: int) -> MonomialMap:
 
 
 def _exact_div(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    """Exact multivariate division with respect to lex order; raises if inexact."""
+    """Exact division of integer-valued maps with respect to lex order;
+    raises ArithmeticError if g does not divide f over the integers."""
     lead_g = max(g.terms)
     cg = g.terms[lead_g]
     work = dict(f.terms)
-    quot: Dict[Tuple[int, ...], Scalar] = {}
+    quot: Dict[Tuple[int, ...], int] = {}
     while work:
         lead = max(work)
         e = tuple(a - b for a, b in zip(lead, lead_g))
-        if any(x < 0 for x in e):
+        c, r = divmod(work[lead], cg)
+        if r or any(x < 0 for x in e):
             raise ArithmeticError("multivariate division is not exact")
-        c = work[lead] / cg
         quot[e] = c
         for eg, vg in g.terms.items():
             key = tuple(x + y for x, y in zip(e, eg))
-            s = work.get(key, ZERO) - c * vg
-            if s.is_zero:
-                work.pop(key, None)
-            else:
+            s = work.get(key, 0) - c * vg
+            if s:
                 work[key] = s
+            else:
+                work.pop(key, None)
     return MonomialMap(f.n_vars, quot)
 
 
-@lru_cache(maxsize=None)
 def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
     """The Schur polynomial s_kappa in n_vars variables, fully expanded.
 
@@ -445,7 +421,7 @@ def power_sum_monomials(m: int, n_vars: int) -> MonomialMap:
     for i in range(n_vars):
         e = [0] * n_vars
         e[i] = 2 * m
-        terms[tuple(e)] = ONE
+        terms[tuple(e)] = 1
     return MonomialMap(n_vars, terms)
 
 
@@ -455,17 +431,17 @@ Moments = Callable[[int], Scalar]
 def apply_M0(f: MonomialMap, moments: Moments) -> Scalar:
     """Apply a univariate functional coordinatewise: x**e_1 ... x**e_N maps to
     the product of moments(e_i).  Monomials are grouped by sorted exponent
-    signature so each product is computed once."""
-    groups: Dict[Tuple[int, ...], Scalar] = {}
+    signature so each product is computed once; an integer group sum enters
+    Q(q) when it is multiplied by the first moment."""
+    groups: Dict[Tuple[int, ...], Coefficient] = {}
     for exps, c in f.terms.items():
         sig = tuple(sorted(exps))
-        s = groups.get(sig)
-        groups[sig] = c if s is None else s + c
+        groups[sig] = groups.get(sig, 0) + c
     total = ZERO
     for sig, c in groups.items():
         prod = c
         for e in sig:
-            if prod.is_zero:
+            if not prod:
                 break
             prod = prod * moments(e)
         total = total + prod

@@ -1,10 +1,24 @@
 """The qgue command-line tool."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from qgue.cli import main
+
+# stdout and exit code of cold `qgue` processes, recorded for the benchmark
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "queries.json").read_text()
+)
+
+
+def _pinned(query: str) -> bool:
+    argv = query.split()
+    if "--method" in argv and argv[argv.index("--method") + 1] == "oracle":
+        return argv[argv.index("--n-vars") + 1] == "4"
+    return query == "table --harer-zagier --max-m 6 --format json"
 
 
 def run(capsys, *argv):
@@ -80,6 +94,23 @@ def test_moment_errors(capsys):
     assert code == 2 and "total degree 40, got 50" in err
     code, _, err = run(capsys, "moment", "--hermite-sq", "0,1200")
     assert code == 2 and "2(m+s) <= 60, got 2400" in err
+    # fast and closed Schur and power-sum requests are bounded before any work
+    for argv, got in [
+        (["--power-sum", "400", "--n-vars", "2"], "got 401 and 400"),
+        (["--power-sum", "2", "--n-vars", "400"], "got 401 and 2"),
+        (["--schur", "1,1", "--n-vars", "400"], "got 400 and 2"),
+        (["--power-sum", "4", "--n-vars", "30"], "got 33 and 4"),
+        (["--power-sum", "4", "--n-vars", "21"], "got 24 and 4"),
+        (["--schur", "5,4,1,1,1", "--n-vars", "20"], "got 24 and 12"),
+        (["--schur", "3,3,3,3,1", "--n-vars", "12"], "got 14 and 13"),
+        (["--power-sum", "400", "--n-vars", "2", "--method", "closed"], "got 401 and 400"),
+        (["--schur", "2", "--n-vars", "400", "--method", "closed"], "got 401 and 2"),
+    ]:
+        start = time.perf_counter()
+        code, _, err = run(capsys, "moment", *argv)
+        assert code == 2 and got in err and time.perf_counter() - start < 1
+    code, _, _ = run(capsys, "moment", "--schur", "12", "--n-vars", "12", "--method", "closed")
+    assert code == 0  # degree 23 and weight 12: on the bound
     code, _, err = run(capsys, "moment", "--schur", "1,1,1", "--n-vars", "2")
     assert code == 2
     code, _, err = run(capsys, "moment", "--schur", "2,2", "--method", "closed", "--n-vars", "2")
@@ -188,3 +219,9 @@ def test_moment_rejects_bad_at_q(at_q):
 def test_verify_empty_grid_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == "" and "empty grid" in err
+
+
+@pytest.mark.parametrize("query", sorted(filter(_pinned, REFERENCE)))
+def test_output_matches_benchmark_reference(capsys, query):
+    code, out, _ = run(capsys, *query.split())
+    assert (code, out) == (REFERENCE[query]["exit_code"], REFERENCE[query]["stdout"])

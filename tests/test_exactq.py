@@ -97,6 +97,8 @@ def test_field_axioms_on_random_scalars():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == ZERO
+        k = rng.randint(-3, 3)  # int operands on either side
+        assert a * k == k * a == a * Scalar(k) and a + k == k + a == a + Scalar(k)
         if not a.is_zero:
             assert a * a.inverse() == ONE
             assert (a ** -2) * (a ** 2) == ONE

@@ -26,12 +26,14 @@ from qgue import (
     hook_decomposition,
     monomial_family,
     partitions,
+    power_sum_monomials,
     q_integer,
     schur_monomials,
     shadow_family,
     sigma_at_zero,
     vandermonde,
 )
+from qgue.symschur import _exact_div, _vandermonde_squared
 from oracles import family_alternant, ssyt_schur
 
 P = Partition
@@ -83,14 +85,31 @@ def test_schur_coefficients_are_nonnegative_integers():
     for n in (1, 2, 3):
         for kappa in partitions(5, n):
             for c in schur_monomials(kappa, n).terms.values():
-                assert c.is_polynomial and c.num.degree <= 0
-                assert c.num.coefficient(0) > 0
+                assert type(c) is int and c > 0
 
 
 def test_vandermonde():
     assert vandermonde(2).terms == {(1, 0): ONE, (0, 1): -ONE}
     v3 = vandermonde(3)
     assert len(v3.terms) == 6 and v3.terms[(2, 1, 0)] == ONE
+
+
+def test_oracle_maps_are_integer_valued():
+    # the oracle computes over Z: no Scalar is built before apply_M0
+    maps = []
+    for n in (1, 2, 3, 4):
+        maps += [vandermonde(n), _vandermonde_squared(n), power_sum_monomials(3, n)]
+        maps += [schur_monomials(kappa, n) for kappa in partitions(4, n)]
+    for f in maps:
+        assert f.terms and all(type(c) is int for c in f.terms.values())
+
+
+def test_exact_div_raises_when_inexact():
+    with pytest.raises(ArithmeticError):  # x_0 / x_1: negative exponent
+        _exact_div(MonomialMap(2, {(1, 0): 1}), MonomialMap(2, {(0, 1): 1}))
+    with pytest.raises(ArithmeticError):  # 2 x_0 / 3 x_0: remainder over Z
+        _exact_div(MonomialMap(1, {(1,): 2}), MonomialMap(1, {(1,): 3}))
+    assert _exact_div(MonomialMap(1, {(1,): 6}), MonomialMap(1, {(1,): 3})).terms == {(0,): 2}
 
 
 def test_determinant():
