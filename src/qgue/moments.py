@@ -67,9 +67,9 @@ GENUS_MAX_M = 6
 # s = 30 on a 2-vCPU machine)
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
-# or closed Schur or power-sum request from the command line; the N x N
-# determinant's cost grows with both, unevenly across shapes (up to 25 s at the
-# bound, for kappa = 3,2,2,2,1,1,1 and N = 21 on a 2-vCPU machine)
+# or closed Schur or power-sum request from the command line; the coefficient
+# minor's cost grows with both (slowest inside them: 0.6-0.7 s in a cold process
+# on a 2-vCPU machine, for kappa = 3,2,1,1,1,1,1,1,1 at N = 21 and p_12 at N = 12)
 MOMENT_MAX_DEGREE = 23
 MOMENT_MAX_WEIGHT = 12
 

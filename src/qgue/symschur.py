@@ -326,6 +326,8 @@ def shadow_family(n: int) -> XPoly:
 
 
 def _family_polys(fam: PolyFamily, kappa: Partition, n_vars: int) -> List[XPoly]:
+    if kappa.length > n_vars:
+        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
     polys = []
     for col in range(n_vars):
         deg = kappa.part(col) + n_vars - 1 - col
@@ -363,6 +365,16 @@ def det(matrix: List[List[Scalar]]) -> Scalar:
     return -d if sign < 0 else d
 
 
+def _coefficient_minor(polys: List[XPoly], kappa: Partition, lam: Partition) -> Scalar:
+    """The s_lambda coefficient of F_kappa for lambda inside kappa: det C with
+    C[j][l] = [x**(lambda_j + N - 1 - j)] polys[l].  A column l >= len(kappa) is
+    monic of degree N - 1 - l, so it is zero above row l and 1 on row l; C is
+    block lower triangular with a unit block, and det C is its leading
+    len(kappa) x len(kappa) minor, the only part built here."""
+    exps = [lam.part(row) + len(polys) - 1 - row for row in range(kappa.length)]
+    return det([[f.coefficient(e) for f in polys[: kappa.length]] for e in exps])
+
+
 def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector:
     """Expand the family determinant F_kappa in Schur polynomials.
 
@@ -370,16 +382,10 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
     C[j][l] = [x**(lambda_j + N - j)] fam(kappa_l + N - l); only lambda with
     diagram inside kappa can appear and the leading coefficient is 1.
     """
-    if kappa.length > n_vars:
-        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
     polys = _family_polys(fam, kappa, n_vars)
     entries: Dict[Partition, Scalar] = {}
     for lam in kappa.subdiagrams():
-        mat = [
-            [polys[col].coefficient(lam.part(row) + n_vars - 1 - row) for col in range(n_vars)]
-            for row in range(n_vars)
-        ]
-        d = det(mat)
+        d = _coefficient_minor(polys, kappa, lam)
         if not d.is_zero:
             entries[lam] = d
     return SchurVector(entries, n_vars)
@@ -388,14 +394,7 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
 @lru_cache(maxsize=None)
 def sigma_at_zero(kappa: Partition, n_vars: int) -> Scalar:
     """The empty-partition coefficient of the shadow family expansion of kappa."""
-    if kappa.length > n_vars:
-        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
-    polys = _family_polys(shadow_family, kappa, n_vars)
-    mat = [
-        [polys[col].coefficient(n_vars - 1 - row) for col in range(n_vars)]
-        for row in range(n_vars)
-    ]
-    return det(mat)
+    return _coefficient_minor(_family_polys(shadow_family, kappa, n_vars), kappa, Partition())
 
 
 def hook_decomposition(m: int, n_vars: int) -> List[Tuple[int, Partition]]:
@@ -470,4 +469,5 @@ def check_oracle_size(n_vars: int, degree: int) -> None:
 
 def generalized_binomial(lam: Partition, kappa: Partition, n_vars: int) -> Scalar:
     """The kappa-coefficient of the (x+1)**n family expansion of lambda."""
-    return family_expand(binomial_family, lam, n_vars).entries.get(kappa, ZERO)
+    polys = _family_polys(binomial_family, lam, n_vars)
+    return _coefficient_minor(polys, lam, kappa) if lam.contains(kappa) else ZERO

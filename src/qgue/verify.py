@@ -162,8 +162,8 @@ def _theorem1(max_weight: int, max_vars: int) -> Iterator[PointResult]:
 def _theorem2(max_vars: int, max_ell: int) -> Iterator[PointResult]:
     for n in range(1, max_vars + 1):
         for ell in range(1, max_ell + 1):
+            coeffs = truncated_in_shadow_basis(n, ell, "direct")
             for i in range(n):
-                coeffs = truncated_in_shadow_basis(n, ell, "direct")
                 value = coeffs.get(n - 1 - i, ZERO)
                 closed = -value if (n - 1 - i) % 2 else value
                 oracle = sigma_at_zero(hook_partition(ell + 1, i), n)

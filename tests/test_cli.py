@@ -18,7 +18,8 @@ def _pinned(query: str) -> bool:
     argv = query.split()
     if "--method" in argv and argv[argv.index("--method") + 1] == "oracle":
         return argv[argv.index("--n-vars") + 1] == "4"
-    return query == "table --harer-zagier --max-m 6 --format json"
+    fast = "--schur" in argv or "--power-sum" in argv
+    return fast or query == "table --harer-zagier --max-m 6 --format json"
 
 
 def run(capsys, *argv):

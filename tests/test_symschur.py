@@ -147,6 +147,33 @@ def test_family_expand_triangular_with_unit_leading():
 def test_family_expand_rejects_bad_family():
     with pytest.raises(ValueError):
         family_expand(lambda n: XPoly.x_power(n).scale(q_integer(2)), P((1,)), 1)
+    # non-monic only in degree 0: that column lies outside the evaluated minor but is checked
+    with pytest.raises(ValueError):
+        family_expand(lambda n: XPoly.x_power(n).scale(q_integer(2 if n == 0 else 1)), P((2,)), 3)
+
+
+def _full_coefficient_det(fam, kappa, lam, n):
+    """The s_lam coefficient of F_kappa as the full N x N coefficient determinant."""
+    polys = [fam(kappa.part(col) + n - 1 - col) for col in range(n)]
+    return det([[f.coefficient(lam.part(row) + n - 1 - row) for f in polys] for row in range(n)])
+
+
+def test_coefficient_minor_matches_full_determinant():
+    # the routes evaluate a len(kappa) x len(kappa) minor; N >= len(kappa) + 3
+    # puts at least three unit-block columns outside it.  The full determinant
+    # also vanishes for lambda outside kappa, where no minor is built.
+    families = (monomial_family, binomial_family, hermite_family, shadow_family)
+    for n in (1, 2, 3, 4, 7):
+        for kappa in partitions(4, n):
+            for fam in families:
+                full = {lam: _full_coefficient_det(fam, kappa, lam, n) for lam in partitions(4, n)}
+                assert family_expand(fam, kappa, n).entries == {
+                    lam: c for lam, c in full.items() if not c.is_zero
+                }
+                if fam is shadow_family:
+                    assert sigma_at_zero(kappa, n) == full[P()]
+                if fam is binomial_family:
+                    assert all(generalized_binomial(kappa, lam, n) == c for lam, c in full.items())
 
 
 def test_sigma_at_zero_examples():
