@@ -157,6 +157,13 @@ def _emit(value, args, query) -> int:
 
 def cmd_verify(args) -> int:
     suites = args.suite or ["all"]
+    # check the report path before any suite runs, so a bad path fails fast
+    if args.report:
+        try:
+            open(args.report, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     results = verify_suite(
         suites,
         max_weight=args.max_weight,

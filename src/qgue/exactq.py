@@ -9,10 +9,16 @@ This is the ground field for the whole package.  Three layers:
     stripped; the zero polynomial is the empty coefficient sequence.
     Multiplication and evaluation run the coefficient-list kernels below
     directly; exact division and the gcd run them on the primitive
-    integer parts, so every Z[q] loop is written once.
+    integer parts, so every Z[q] loop is written once.  When every
+    exponent of both operands is a multiple of some k > 1 (as in the
+    squared base, where everything is a polynomial in q^2), the product
+    and exact-division kernels run on the strided lists a[::k], b[::k]
+    and inflate the result; see `_stride`.
   * `Scalar`: a reduced ratio num/den of two `QPolynomial` with monic
     denominator.  Construction always canonicalizes, so `==` on Scalars
-    is exact field equality.
+    is exact field equality.  Once the common power of q is stripped, a
+    side with a single nonzero coefficient is coprime to the other, so
+    such a pair skips the exact-division attempts and the gcd.
 
 Everything is immutable after construction and safe to share freely.
 """
@@ -88,8 +94,45 @@ def _eval_int(coeffs, x: Coeff) -> Coeff:
     return acc
 
 
+def _stride(a, b):
+    """The gcd of the exponents of the nonzero coefficients of a and b; 0 for constants.
+
+    The Z[q] kernels below run on a[::k] and b[::k] when k > 1 and inflate
+    the result back, which is exact.  Deflation q^k -> q is a ring
+    isomorphism Z[q^k] -> Z[q] that keeps content and leading coefficients,
+    so it suffices that every result lies in Z[q^k] again.  Let z be a
+    primitive k-th root of unity; p lies in Z[q^k] exactly when
+    p(zq) = p(q), because the coefficient of q^i picks up the factor z^i.
+      * Product: (ab)(zq) = a(zq) b(zq) = a(q) b(q).
+      * Quotient: if a = Q g then Q(zq) g(q) = a(q) = Q(q) g(q), so
+        Q(zq) = Q(q).  An exact division therefore has the same quotient
+        on the deflated lists, and an inexact one stays inexact there.
+    The gcd kernel takes no stride of its own: none of the gcds that
+    `verify --suite all` takes has k > 1, and its candidate checks run
+    through the division kernel anyway.
+    """
+    k = 0
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            if c:
+                k = math.gcd(k, i)
+                if k == 1:
+                    return 1
+    return k
+
+
+def _inflate(cs, k):
+    """Substitute q -> q^k in a coefficient list."""
+    out = [0] * ((len(cs) - 1) * k + 1)
+    out[::k] = cs
+    return out
+
+
 def _mul_int(a, b):
     """Schoolbook product of two nonempty lists; int and Fraction coefficients alike."""
+    k = _stride(a, b)
+    if k > 1:
+        return _inflate(_mul_int(a[::k], b[::k]), k)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -103,6 +146,10 @@ def _int_divides(g, a):
     dd = len(a) - len(g)
     if dd < 0:
         return None
+    k = _stride(g, a)
+    if k > 1:
+        out = _int_divides(g[::k], a[::k])
+        return None if out is None else _inflate(out, k)
     rem = list(a)
     lg = g[-1]
     ng = len(g)
@@ -410,13 +457,18 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
         raise ZeroDivisionError("zero denominator in Q(q)")
     if num.is_zero:
         return _QP_ZERO, _QP_ONE
-    v = min(num.valuation, den.valuation)
+    nv, dv = num.valuation, den.valuation
+    v = min(nv, dv)
     if v:
         num = num.shifted(-v)
         den = den.shifted(-v)
     if den.degree == 0:
         c = den.coeffs[0]
         return (num if c == 1 else num.scale(_invc(c))), _QP_ONE
+    if nv - v == num.degree or dv - v == den.degree:
+        # one side is c q^p; with the common power of q stripped, the other
+        # side is constant or has a nonzero constant term, so they are coprime
+        return _monic_pair(num, den)
     q = num.exact_div(den)
     if q is not None:
         return q, _QP_ONE
@@ -431,12 +483,16 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
     if g.degree > 0:
         num = num.exact_div(g)
         den = den.exact_div(g)
+    return _monic_pair(num, den)
+
+
+def _monic_pair(num: QPolynomial, den: QPolynomial):
+    """Scale a coprime pair so that the denominator is monic."""
     lc = den.leading
-    if lc != 1:
-        inv = _invc(lc)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    if lc == 1:
+        return num, den
+    inv = _invc(lc)
+    return num.scale(inv), den.scale(inv)
 
 
 class Scalar:
@@ -556,13 +612,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.num.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        num, den = self.den, self.num
-        lc = den.leading
-        if lc != 1:
-            inv = _invc(lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return Scalar._make(num, den)
+        return Scalar._make(*_monic_pair(self.den, self.num))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from .exactq import ZERO, Scalar, q_factorial, series_coefficient
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
-from .symschur import hook_partition, partitions, sigma_at_zero
+from .symschur import SizeError, hook_partition, partitions, sigma_at_zero
 from .moments import (
     DegenerateDenominator,
     hook_moment_closed_form,
@@ -272,12 +272,14 @@ class _Suite(NamedTuple):
     `grid` maps each key of the report's grid label to the bound it reads
     (max_weight, max_vars or max_n) and that bound's default; `points` takes
     the label as keywords.  `preset`, when set, is the label and the points
-    used instead when the caller gives none of the suite's bounds.
+    used instead when the caller gives none of the suite's bounds.  `caps`
+    maps grid keys to the largest value a request may give them.
     """
 
     points: Callable[..., Iterator[PointResult]]
     grid: Dict[str, Tuple[str, int]]
     preset: Optional[Tuple[Dict[str, int], Callable[[], Iterator[PointResult]]]] = None
+    caps: Dict[str, int] = {}
 
 
 def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
@@ -287,9 +289,12 @@ def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
 _WEIGHT_VARS = {"max_weight": ("max_weight", 6), "max_vars": ("max_vars", 3)}
 _WEIGHT_S = {"max_weight": ("max_weight", 6), "max_s": ("max_n", 3)}
 
+# The caps keep the slowest request inside them at 17-18 s in a cold process
+# on a 2-vCPU machine (duality at max_n 40, orthogonality at 17); one step
+# past them took 19 s and 27 s, and duality at 50 took 60 s.
 _SUITES: Dict[str, _Suite] = {
-    "duality": _Suite(_duality, {"max_n": ("max_n", 30)}),
-    "orthogonality": _Suite(_orthogonality, {"max_n": ("max_n", 10)}),
+    "duality": _Suite(_duality, {"max_n": ("max_n", 30)}, caps={"max_n": 40}),
+    "orthogonality": _Suite(_orthogonality, {"max_n": ("max_n", 10)}, caps={"max_n": 17}),
     "theorem1": _Suite(_theorem1, _WEIGHT_VARS),
     "theorem2": _Suite(_theorem2, {"max_vars": ("max_vars", 5), "max_ell": ("max_n", 4)}),
     "theorem3": _Suite(
@@ -320,9 +325,9 @@ def verify_suite(
     """Run the named identity suites and return per-suite reports.
 
     Bounds default per suite; passing a bound overrides it for every suite
-    that uses it.  A requested suite whose grid has no points raises
-    ValueError before any suite is run to completion; guardrail violations
-    surface as SizeError.
+    that uses it.  A bound above a suite's cap raises SizeError before any
+    point is evaluated, and a requested suite whose grid has no points
+    raises ValueError before any suite is run to completion.
     """
     if isinstance(suites, str):
         suites = (suites,)
@@ -331,16 +336,20 @@ def verify_suite(
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     given = {"max_weight": max_weight, "max_vars": max_vars, "max_n": max_n}
-    runs = []
+    plans = []
     for name in names:
         entry = _SUITES[name]
         if entry.preset and all(given[b] is None for b, _ in entry.grid.values()):
             grid, points = dict(entry.preset[0]), entry.preset[1]()
         else:
             grid = {k: d if given[b] is None else given[b] for k, (b, d) in entry.grid.items()}
+            for key, cap in entry.caps.items():
+                if grid[key] > cap:
+                    raise SizeError(f"suite {name} limited to {key} <= {cap}, got {grid[key]}")
             points = entry.points(**grid)
-        # evaluate each suite's first point now, so an empty grid fails fast
-        runs.append((SuiteResult(name, grid), next(points, None), points))
+        plans.append((SuiteResult(name, grid), points))
+    # evaluate each suite's first point now, so an empty grid fails fast
+    runs = [(suite, next(points, None), points) for suite, points in plans]
     empty = [suite.identity for suite, first, _ in runs if first is None]
     if empty:
         raise ValueError(f"empty grid in suite(s) {', '.join(empty)}; raise the bounds")

@@ -1,11 +1,14 @@
 """The qgue command-line tool."""
 
 import json
+import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from qgue import verify
 from qgue.cli import main
 
 # stdout and exit code of cold `qgue` processes, recorded for the benchmark
@@ -220,6 +223,53 @@ def test_moment_rejects_bad_at_q(at_q):
 def test_verify_empty_grid_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == "" and "empty grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "duality", "--max-n", "41"], "max_n <= 40"),
+        (["--suite", "orthogonality", "--max-n", "18"], "max_n <= 17"),
+        (["--max-n", "18"], "orthogonality limited"),
+        (["--suite", "qhz", "--report", "{tmp}/missing/r.json"], "cannot write report"),
+        (["--suite", "qhz", "--report", "{tmp}"], "cannot write report"),
+    ],
+)
+def test_verify_refusals_exit_2_before_any_work(capsys, tmp_path, argv, message):
+    # every suite's point generator records the suite when it is first advanced
+    evaluated = []
+
+    def spy(name, points):
+        def spied(**grid):
+            evaluated.append(name)
+            yield from points(**grid)
+
+        return spied
+
+    suites = {
+        name: entry._replace(
+            points=spy(name, entry.points),
+            preset=entry.preset and (entry.preset[0], spy(name, entry.preset[1])),
+        )
+        for name, entry in verify._SUITES.items()
+    }
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with mock.patch.dict(verify._SUITES, suites):
+        code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and message in err
+    assert evaluated == []
+
+
+def test_verify_report_is_replaced_only_by_a_run(capsys, tmp_path):
+    report = tmp_path / "r.json"
+    report.write_text("earlier report\n" * 1000)
+    code, _, _ = run(capsys, "verify", "--suite", "duality", "--max-n", "41", "--report", str(report))
+    assert code == 2 and report.read_text() == "earlier report\n" * 1000
+    code, _, _ = run(capsys, "verify", "--suite", "qhz", "--max-n", "1", "--report", str(report))
+    assert code == 0 and json.loads(report.read_text())["summary"]["discrepant"] == 0
+    # a path that is not a regular file is written as before
+    code, out, _ = run(capsys, "verify", "--suite", "qhz", "--max-n", "1", "--report", os.devnull)
+    assert code == 0 and f"report written to {os.devnull}" in out
 
 
 @pytest.mark.parametrize("query", sorted(filter(_pinned, REFERENCE)))

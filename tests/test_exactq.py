@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,17 @@ from qgue import (
     q_integer,
     series_coefficient,
 )
-from qgue.exactq import _gcd_int, _int_divides, _mul_int, _primitive, _subresultant_gcd
+from qgue import exactq
+from qgue.exactq import (
+    _gcd_int,
+    _inflate,
+    _int_divides,
+    _mul_int,
+    _poly_gcd,
+    _primitive,
+    _subresultant_gcd,
+)
+from qgue.verify import verify_suite
 
 
 def test_q_integer_examples():
@@ -237,3 +248,62 @@ def test_exact_div_on_rational_coefficients(a, b, data):
     assert (a * b).exact_div(b) == a
     r = data.draw(st.lists(rat, min_size=1, max_size=b.degree).filter(any))
     assert (a * b + QPolynomial(r)).exact_div(b) is None
+
+
+def _plain(kernel, *args):
+    """The kernel's own loop on the full lists, with the stride deflation off."""
+    with mock.patch.object(exactq, "_stride", lambda a, b: 1):
+        return kernel(*args)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), int_poly, int_poly, int_poly, int_poly, st.data())
+def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
+    # polynomials in q^k, some multiplied by a power of q^k; size-1 lists
+    # give the constant and monomial operands
+    def in_qk(cs):
+        return _inflate([0] * data.draw(st.integers(0, 2)) + cs, k)
+
+    g, u, v = in_qk(g), in_qk(u), in_qk(v)
+    assert _mul_int(g, u) == _plain(_mul_int, g, u)
+    a = _mul_int(g, u)
+    assert _int_divides(g, a) == _plain(_int_divides, g, a) == u
+    # a nonzero remainder of lower degree than g makes the division inexact
+    r = _inflate(r[: (len(g) - 1) // k], k)
+    if any(r):
+        a_r = a[:]
+        for i, c in enumerate(r):
+            a_r[i] += c
+        assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
+    assert _int_divides(u, v) == _plain(_int_divides, u, v)
+    # a planted common factor; the gcd's candidate checks divide strided lists
+    p = _primitive(g)
+    a, b = _primitive(_mul_int(p, u)), _primitive(_mul_int(p, v))
+    got = _gcd_int(a, b)
+    assert got == _plain(_gcd_int, a, b)
+    assert _int_divides(p, got) is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(int_poly.filter(lambda c: len(c) > 1), st.integers(0, 6), rat.filter(bool))
+def test_monomial_side_matches_gcd_route(den, p, c):
+    # Scalar takes the coprime shortcut when one side is c q^p; the reference
+    # divides both sides by their gcd over Z and makes the denominator monic
+    mono = QPolynomial.q_power(p).scale(c)
+    den = QPolynomial(den)
+    for num, d in ((mono, den), (den, mono)):
+        g = _poly_gcd(num, d)
+        rn, rd = num.exact_div(g), d.exact_div(g)
+        inv = 1 / Fraction(rd.leading)
+        want = rn.scale(inv).coeffs, rd.scale(inv).coeffs
+        s = Scalar(num, d)
+        got = s.num.coeffs, s.den.coeffs
+        assert got == want
+        assert [type(x) for x in got[0] + got[1]] == [type(x) for x in want[0] + want[1]]
+
+
+def test_duality_makes_no_gcd_calls():
+    # every gcd duality would take is gcd(c q^p, [j]![k]!) = 1
+    with mock.patch.object(exactq, "_poly_gcd", side_effect=exactq._poly_gcd) as gcd:
+        verify_suite(["duality"], max_n=12)
+    assert gcd.call_count == 0
