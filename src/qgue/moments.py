@@ -63,8 +63,8 @@ __all__ = [
 
 GENUS_MAX_M = 6
 # bound on the x-degree 2(m+s) of a hermite_squared_moment request made from
-# the command line; the cold cost grows steeply with it (15 s for m = 0,
-# s = 30 on a 2-vCPU machine)
+# the command line; the cold cost grows steeply with it (3.5-3.7 s for m = 0,
+# s = 30 on a 2-vCPU machine, most of it squaring H_30)
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
 # or closed Schur or power-sum request from the command line; the coefficient

@@ -289,9 +289,11 @@ def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
 _WEIGHT_VARS = {"max_weight": ("max_weight", 6), "max_vars": ("max_vars", 3)}
 _WEIGHT_S = {"max_weight": ("max_weight", 6), "max_s": ("max_n", 3)}
 
-# The caps keep the slowest request inside them at 17-18 s in a cold process
-# on a 2-vCPU machine (duality at max_n 40, orthogonality at 17); one step
-# past them took 19 s and 27 s, and duality at 50 took 60 s.
+# The caps keep the slowest request inside them at 15-19 s in a cold process
+# on a 2-vCPU machine (duality at max_n 40, qhz and theorem5 at 26, truncation
+# at 23); one step past them took 19 s, 22 s, 24 s and 26 s, and duality at
+# 50 took 60 s.  Orthogonality at its cap of 17 takes 2.0-2.2 s, so that cap
+# leaves headroom.
 _SUITES: Dict[str, _Suite] = {
     "duality": _Suite(_duality, {"max_n": ("max_n", 30)}, caps={"max_n": 40}),
     "orthogonality": _Suite(_orthogonality, {"max_n": ("max_n", 10)}, caps={"max_n": 17}),
@@ -308,9 +310,9 @@ _SUITES: Dict[str, _Suite] = {
     ),
     "theorem4": _Suite(_theorem4, {"max_weight": ("max_weight", 8), "max_vars": ("max_vars", 4)}),
     "sigma": _Suite(_sigma, _WEIGHT_VARS),
-    "theorem5": _Suite(_theorem5, _WEIGHT_S),
-    "qhz": _Suite(_qhz, _WEIGHT_S),
-    "truncation": _Suite(_truncation, {"max_total": ("max_n", 10)}),
+    "theorem5": _Suite(_theorem5, _WEIGHT_S, caps={"max_s": 26}),
+    "qhz": _Suite(_qhz, _WEIGHT_S, caps={"max_s": 26}),
+    "truncation": _Suite(_truncation, {"max_total": ("max_n", 10)}, caps={"max_total": 23}),
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -233,6 +233,9 @@ def test_verify_empty_grid_is_usage_error(capsys, argv):
         (["--max-n", "18"], "orthogonality limited"),
         (["--suite", "qhz", "--report", "{tmp}/missing/r.json"], "cannot write report"),
         (["--suite", "qhz", "--report", "{tmp}"], "cannot write report"),
+        (["--suite", "theorem5", "--max-n", "27"], "theorem5 limited to max_s <= 26"),
+        (["--suite", "qhz", "--max-n", "27"], "qhz limited to max_s <= 26"),
+        (["--suite", "truncation", "--max-n", "24"], "truncation limited to max_total <= 23"),
     ],
 )
 def test_verify_refusals_exit_2_before_any_work(capsys, tmp_path, argv, message):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -18,12 +19,14 @@ from qgue import (
     gaussian_moment,
     genus_table,
     hermite,
+    hermite_norm,
     hermite_squared_moment,
     hook_moment_closed_form,
     integrate_power_sum,
     integrate_schur,
     integrate_symmetric,
     level_density_moment,
+    m_q,
     normalization,
     p2m_closed_form,
     pairing_genus_counts,
@@ -37,6 +40,7 @@ from qgue import (
     theorem5_lhs,
     theorem5_rhs,
 )
+from qgue import moments, qxpoly
 from oracles import double_factorial, family_alternant
 
 P = Partition
@@ -86,6 +90,26 @@ def test_level_density_moment():
         assert level_density_moment(XPoly.one(), n) == Scalar.from_fraction(n)
     assert level_density_moment(XPoly.x_power(2), 2) == ONE + q_integer(3)
     assert level_density_moment(XPoly.x_power(4), 2) == q_integer(3) * (ONE + q_integer(5))
+
+
+def test_gaussian_moments_match_closed_form():
+    for k in range(31):
+        assert gaussian_moment(2 * k) == m_q(2 * k - 1)
+        assert gaussian_moment(2 * k + 1) == ZERO
+
+
+def test_moments_never_build_the_whole_inverse_image():
+    # L needs only the x^0 term, so no moment may apply the operator series
+    h6 = hermite(6)
+    want = qxpoly.gaussian_op((h6 * h6).shifted(4), "inverse").constant_term
+    for mod in (qxpoly, moments):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with mock.patch.object(qxpoly, "gaussian_op", side_effect=AssertionError("gaussian_op")):
+        assert hermite_squared_moment(2, 6) == want
+        assert hermite_norm(5) == Scalar.q_power(10) * q_factorial(5)
+        assert gaussian_moment(12) == m_q(11)
 
 
 def test_hermite_squared_moment():

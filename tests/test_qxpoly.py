@@ -4,12 +4,16 @@ import inspect
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgue import (
     ONE,
     ZERO,
+    QPolynomial,
     Scalar,
     XPoly,
     functional_L,
@@ -181,6 +185,31 @@ def test_functional_L():
     for n in range(13):
         expected = m_q(n - 1) if n % 2 == 0 else ZERO
         assert functional_L(x(n)) == expected
+
+
+small = st.integers(-4, 4)
+scalar = st.one_of(
+    small.map(Scalar),
+    st.builds(Fraction, small, st.integers(1, 5)).map(Scalar.from_fraction),
+    st.builds(
+        lambda n, d: Scalar(QPolynomial(n), QPolynomial(d)),
+        st.lists(small, min_size=1, max_size=4),
+        st.lists(small, min_size=1, max_size=3).filter(any),
+    ),
+)
+xpoly = st.lists(scalar, max_size=17).map(XPoly)
+odd_xpoly = st.lists(scalar, max_size=8).map(
+    lambda cs: XPoly([c for odd in cs for c in (ZERO, odd)])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(xpoly, odd_xpoly))
+@example(XPoly.zero())
+def test_functional_L_is_constant_term_of_inverse_op(p):
+    # L reads only the x^0 term of the inverse operator; the reference
+    # builds the whole image
+    assert functional_L(p) == gaussian_op(p, "inverse").constant_term
 
 
 def test_hermite_orthogonality():
