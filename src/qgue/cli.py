@@ -50,16 +50,11 @@ def _render_value(value, args, query) -> str:
     """Render a Scalar (or its specialization at q0) in the chosen format."""
     if args.at_q is not None:
         value = evaluate_at(value, args.at_q)
-        text = str(value)
-        latex = str(value)
-    else:
-        text = str(value)
-        latex = value.latex()
     if args.format == "json":
-        return _json_dump({"query": query, "value": text})
-    if args.format == "latex":
-        return latex + "\n"
-    return text + "\n"
+        return _json_dump({"query": query, "value": str(value)})
+    if args.format == "latex" and args.at_q is None:
+        return value.latex() + "\n"
+    return str(value) + "\n"
 
 
 def _parse_int_pair(text: str, flag: str):

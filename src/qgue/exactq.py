@@ -8,8 +8,9 @@ This is the ground field for the whole package.  Three layers:
   * `QPolynomial`: dense univariate polynomial in q, trailing zeros
     stripped; the zero polynomial is the empty coefficient sequence.
     Multiplication and evaluation run the coefficient-list kernels below
-    directly; exact division and the gcd run them on the primitive
-    integer parts, so every Z[q] loop is written once.  When every
+    directly; exact division runs them on the primitive integer parts, so
+    every Z[q] loop is written once.  The one gcd is Collins' subresultant
+    PRS on the primitive integer parts.  When every
     exponent of both operands is a multiple of some k > 1 (as in the
     squared base, where everything is a polynomial in q^2), the product
     and exact-division kernels run on the strided lists a[::k], b[::k]
@@ -18,7 +19,8 @@ This is the ground field for the whole package.  Three layers:
     denominator.  Construction always canonicalizes, so `==` on Scalars
     is exact field equality.  Once the common power of q is stripped, a
     side with a single nonzero coefficient is coprime to the other, so
-    such a pair skips the exact-division attempts and the gcd.
+    such a pair skips the exact division and the gcd.  Otherwise a pair
+    reduces by one exact-division attempt num/den, then by the gcd.
 
 Everything is immutable after construction and safe to share freely.
 """
@@ -107,9 +109,8 @@ def _stride(a, b):
       * Quotient: if a = Q g then Q(zq) g(q) = a(q) = Q(q) g(q), so
         Q(zq) = Q(q).  An exact division therefore has the same quotient
         on the deflated lists, and an inexact one stays inexact there.
-    The gcd kernel takes no stride of its own: none of the gcds that
-    `verify --suite all` takes has k > 1, and its candidate checks run
-    through the division kernel anyway.
+    The gcd takes no stride: none of the gcds that `verify --suite all`
+    takes has k > 1.
     """
     k = 0
     for cs in (a, b):
@@ -364,33 +365,8 @@ _QP_ONE = QPolynomial._raw((1,))
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd: heuristic gcd with a subresultant fallback
+# polynomial gcd: the subresultant PRS
 # ---------------------------------------------------------------------------
-
-
-def _heu_gcd(a, b):
-    """Heuristic gcd of primitive integer coefficient lists (may return None)."""
-    bound = max(max(abs(c) for c in a), max(abs(c) for c in b))
-    x = 4 * bound + 4
-    for _ in range(6):
-        va = _eval_int(a, x)
-        vb = _eval_int(b, x)
-        gv = math.gcd(va, vb)
-        digits = []
-        g = gv
-        while g:
-            r = g % x
-            if 2 * r > x:
-                r -= x
-            digits.append(r)
-            g = (g - r) // x
-        if not digits:
-            digits = [0]
-        cand = _primitive(digits)
-        if cand and _int_divides(cand, a) is not None and _int_divides(cand, b) is not None:
-            return cand
-        x = 2 * x + 29
-    return None
 
 
 def _subresultant_gcd(a, b):
@@ -424,27 +400,13 @@ def _subresultant_gcd(a, b):
             return [1]
 
 
-def _gcd_int(a, b):
-    """Full gcd of primitive integer coefficient lists (primitive, positive leading)."""
-    g = _heu_gcd(a, b)
-    if g is None:
-        g = _subresultant_gcd(a, b)
-    if len(g) > 1:
-        # the heuristic can in principle accept a proper divisor; gcd(a, b) equals
-        # g * gcd(a/g, b/g), so recurse on the cofactors until they are coprime
-        extra = _gcd_int(_primitive(_int_divides(g, a)), _primitive(_int_divides(g, b)))
-        if len(extra) > 1:
-            g = _primitive(_mul_int(g, extra))
-    return g
-
-
 def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Primitive positive-leading gcd over the integers."""
     if a.is_zero:
         return QPolynomial(b._int_primitive()[1])
     if b.is_zero:
         return QPolynomial(a._int_primitive()[1])
-    return QPolynomial(_gcd_int(a._int_primitive()[1], b._int_primitive()[1]))
+    return QPolynomial(_subresultant_gcd(a._int_primitive()[1], b._int_primitive()[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +434,6 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
     q = num.exact_div(den)
     if q is not None:
         return q, _QP_ONE
-    q = den.exact_div(num)
-    if q is not None:
-        lc = q.leading
-        if lc == 1:
-            return _QP_ONE, q
-        inv = _invc(lc)
-        return QPolynomial.constant(inv), q.scale(inv)
     g = _poly_gcd(num, den)
     if g.degree > 0:
         num = num.exact_div(g)

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from .exactq import ZERO, Scalar, q_factorial, series_coefficient
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
-from .symschur import SizeError, hook_partition, partitions, sigma_at_zero
+from .symschur import SizeError, check_oracle_size, hook_partition, partitions, sigma_at_zero
 from .moments import (
     DegenerateDenominator,
     hook_moment_closed_form,
@@ -273,13 +273,16 @@ class _Suite(NamedTuple):
     (max_weight, max_vars or max_n) and that bound's default; `points` takes
     the label as keywords.  `preset`, when set, is the label and the points
     used instead when the caller gives none of the suite's bounds.  `caps`
-    maps grid keys to the largest value a request may give them.
+    maps grid keys, or sizes named in `_SIZES`, to the largest value a
+    request may give them.  `oracle`, when set, maps the label to the
+    (variables, weight) of the suite's costliest monomial-oracle point.
     """
 
     points: Callable[..., Iterator[PointResult]]
     grid: Dict[str, Tuple[str, int]]
     preset: Optional[Tuple[Dict[str, int], Callable[[], Iterator[PointResult]]]] = None
     caps: Dict[str, int] = {}
+    oracle: Optional[Callable[..., Tuple[int, int]]] = None
 
 
 def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
@@ -289,16 +292,38 @@ def _theorem3(max_weight: int, max_vars: int) -> Iterator[PointResult]:
 _WEIGHT_VARS = {"max_weight": ("max_weight", 6), "max_vars": ("max_vars", 3)}
 _WEIGHT_S = {"max_weight": ("max_weight", 6), "max_s": ("max_n", 3)}
 
-# The caps keep the slowest request inside them at 15-19 s in a cold process
-# on a 2-vCPU machine (duality at max_n 40, qhz and theorem5 at 26, truncation
-# at 23); one step past them took 19 s, 22 s, 24 s and 26 s, and duality at
-# 50 took 60 s.  Orthogonality at its cap of 17 takes 2.0-2.2 s, so that cap
-# leaves headroom.
+# sizes a cap may bound besides the grid keys: the largest x-degree of
+# x^(2m) H_s^2 over an (m, s) grid
+_SIZES = {"2(m+s)": lambda max_weight, max_s: 2 * (max_weight // 2 + max_s)}
+
+
+def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
+    """The oracle size of a grid whose integrands have even weight 2m <= max_weight."""
+    return max_vars, 2 * (max_weight // 2)
+
+
+# The caps keep the slowest request inside them at 13-19 s in a cold process
+# on a 2-vCPU machine, and one step past them took 19-30 s.  Caps on two bounds
+# are timed where both sit at their caps, the costliest request they admit; a
+# 2(m+s) cap is timed at the costliest (m, s) on its line:
+#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23 (24: 26 s);
+#   theorem1 max_weight 12, max_vars 17: 15 s (max_vars 18: 19 s, max_weight 14: 30 s);
+#   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);
+#   theorem5 2(m+s) 52: 17-19 s at (17, 9) and (16, 10) (54: 21 s at (18, 9));
+#   qhz 2(m+s) 58: 15 s at (4, 25) and (3, 26) (60: 20-21 s at (4, 26), (5, 25)).
+# The max_s caps of 26 were timed at the default max_weight 6; for theorem5
+# the 2(m+s) cap is the tighter one.  theorem2's max_ell cap equals
+# orthogonality's max_n cap, so `--max-n 17` still runs every suite.
+# Orthogonality at its cap of 17 takes 2.0-2.2 s, so that cap leaves headroom.
 _SUITES: Dict[str, _Suite] = {
     "duality": _Suite(_duality, {"max_n": ("max_n", 30)}, caps={"max_n": 40}),
     "orthogonality": _Suite(_orthogonality, {"max_n": ("max_n", 10)}, caps={"max_n": 17}),
-    "theorem1": _Suite(_theorem1, _WEIGHT_VARS),
-    "theorem2": _Suite(_theorem2, {"max_vars": ("max_vars", 5), "max_ell": ("max_n", 4)}),
+    "theorem1": _Suite(_theorem1, _WEIGHT_VARS, caps={"max_weight": 12, "max_vars": 17}),
+    "theorem2": _Suite(
+        _theorem2,
+        {"max_vars": ("max_vars", 5), "max_ell": ("max_n", 4)},
+        caps={"max_vars": 8, "max_ell": 17},
+    ),
     "theorem3": _Suite(
         _theorem3,
         _WEIGHT_VARS,
@@ -307,11 +332,16 @@ _SUITES: Dict[str, _Suite] = {
             {"max_weight": 6, "max_vars": 4},
             lambda: _theorem3_rows([(1, 6), (2, 6), (3, 6), (4, 4)]),
         ),
+        oracle=lambda max_weight, max_vars: (max_vars, max_weight),
     ),
-    "theorem4": _Suite(_theorem4, {"max_weight": ("max_weight", 8), "max_vars": ("max_vars", 4)}),
-    "sigma": _Suite(_sigma, _WEIGHT_VARS),
-    "theorem5": _Suite(_theorem5, _WEIGHT_S, caps={"max_s": 26}),
-    "qhz": _Suite(_qhz, _WEIGHT_S, caps={"max_s": 26}),
+    "theorem4": _Suite(
+        _theorem4,
+        {"max_weight": ("max_weight", 8), "max_vars": ("max_vars", 4)},
+        oracle=_even_weight_oracle,
+    ),
+    "sigma": _Suite(_sigma, _WEIGHT_VARS, oracle=_even_weight_oracle),
+    "theorem5": _Suite(_theorem5, _WEIGHT_S, caps={"max_s": 26, "2(m+s)": 52}),
+    "qhz": _Suite(_qhz, _WEIGHT_S, caps={"max_s": 26, "2(m+s)": 58}),
     "truncation": _Suite(_truncation, {"max_total": ("max_n", 10)}, caps={"max_total": 23}),
 }
 
@@ -327,8 +357,9 @@ def verify_suite(
     """Run the named identity suites and return per-suite reports.
 
     Bounds default per suite; passing a bound overrides it for every suite
-    that uses it.  A bound above a suite's cap raises SizeError before any
-    point is evaluated, and a requested suite whose grid has no points
+    that uses it.  A bound above a suite's cap, or a grid whose costliest
+    oracle point is outside the oracle guardrails, raises SizeError before
+    any point is evaluated, and a requested suite whose grid has no points
     raises ValueError before any suite is run to completion.
     """
     if isinstance(suites, str):
@@ -346,8 +377,14 @@ def verify_suite(
         else:
             grid = {k: d if given[b] is None else given[b] for k, (b, d) in entry.grid.items()}
             for key, cap in entry.caps.items():
-                if grid[key] > cap:
-                    raise SizeError(f"suite {name} limited to {key} <= {cap}, got {grid[key]}")
+                size = _SIZES[key](**grid) if key in _SIZES else grid[key]
+                if size > cap:
+                    raise SizeError(f"suite {name} limited to {key} <= {cap}, got {size}")
+            if entry.oracle:
+                try:
+                    check_oracle_size(*entry.oracle(**grid))
+                except SizeError as exc:
+                    raise SizeError(f"suite {name}: {exc}") from None
             points = entry.points(**grid)
         plans.append((SuiteResult(name, grid), points))
     # evaluate each suite's first point now, so an empty grid fails fast

@@ -2,11 +2,13 @@
 
 Nothing here reuses the library's determinant or operator routes: Schur
 polynomials come from tableau enumeration, multivariate determinants from
-explicit permutation expansion, and map counts from first principles.
+explicit permutation expansion, map counts from first principles, and
+polynomial gcds from Euclid's algorithm over Q.
 """
 
+from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, lcm, prod
 
 from qgue import ONE, MonomialMap, XPoly
 
@@ -77,3 +79,36 @@ def family_alternant(polys, n_vars) -> MonomialMap:
             prod_map = prod_map * univariate_to_monomials(polys[perm[i]], i, n_vars)
         total = total + prod_map
     return total
+
+
+def euclid_gcd(a, b):
+    """gcd of two integer coefficient lists (ascending) by Euclid over Q.
+
+    The last nonzero remainder is scaled to a primitive integer list with
+    positive leading coefficient; the gcd of two zero lists is [].
+    """
+
+    def trim(cs):
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    a = trim([Fraction(c) for c in a])
+    b = trim([Fraction(c) for c in b])
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            c, shift = r[-1] / b[-1], len(r) - len(b)
+            for j, cb in enumerate(b):
+                r[shift + j] -= c * cb
+            trim(r)
+        a, b = b, r
+    if not a:
+        return []
+    den = lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    g = g if ints[-1] > 0 else -g
+    return [c // g for c in ints]

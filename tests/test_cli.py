@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from qgue import verify
+from qgue import Scalar, verify
 from qgue.cli import main
 
 # stdout and exit code of cold `qgue` processes, recorded for the benchmark
@@ -70,6 +70,15 @@ def test_moment_json_round_trip(capsys):
 def test_moment_latex(capsys):
     code, out, _ = run(capsys, "moment", "--hermite-sq", "0,3", "--format", "latex")
     assert code == 0 and out == "q^{3}[3]_q[2]_q\n"
+
+
+def test_moment_builds_latex_only_for_latex_format(capsys):
+    # LaTeX folds q-integers by trial division; text and JSON must not pay for it
+    with mock.patch.object(Scalar, "latex", side_effect=AssertionError("latex built")):
+        code, out, _ = run(capsys, "moment", "--hermite-sq", "0,3")
+        assert code == 0 and out == "q^3+2q^4+2q^5+q^6\n"
+        code, out, _ = run(capsys, "moment", "--hermite-sq", "0,3", "--format", "json")
+        assert code == 0 and json.loads(out)["value"] == "q^3+2q^4+2q^5+q^6"
 
 
 def test_moment_closed_banner(capsys):
@@ -236,6 +245,21 @@ def test_verify_empty_grid_is_usage_error(capsys, argv):
         (["--suite", "theorem5", "--max-n", "27"], "theorem5 limited to max_s <= 26"),
         (["--suite", "qhz", "--max-n", "27"], "qhz limited to max_s <= 26"),
         (["--suite", "truncation", "--max-n", "24"], "truncation limited to max_total <= 23"),
+        (["--suite", "theorem5", "--max-weight", "60"], "theorem5 limited to 2(m+s) <= 52, got 66"),
+        (["--suite", "theorem5", "--max-n", "24"], "theorem5 limited to 2(m+s) <= 52, got 54"),
+        (["--suite", "qhz", "--max-weight", "200"], "qhz limited to 2(m+s) <= 58, got 206"),
+        (["--suite", "qhz", "--max-weight", "20", "--max-n", "26"], "2(m+s) <= 58, got 72"),
+        (["--suite", "theorem3", "--max-vars", "6"], "theorem3: oracle limited to 5 variables"),
+        (["--suite", "theorem4", "--max-vars", "6"], "theorem4: oracle limited to 5 variables"),
+        (["--suite", "sigma", "--max-vars", "6"], "sigma: oracle limited to 5 variables"),
+        (["--suite", "sigma", "--max-weight", "36"], "sigma: oracle limited to total degree 40, got 42"),
+        (["--suite", "theorem1", "--max-vars", "40"], "theorem1 limited to max_vars <= 17"),
+        (["--suite", "theorem1", "--max-vars", "20"], "theorem1 limited to max_vars <= 17"),
+        (["--suite", "theorem1", "--max-weight", "14"], "theorem1 limited to max_weight <= 12"),
+        (["--suite", "theorem2", "--max-vars", "30"], "theorem2 limited to max_vars <= 8"),
+        (["--suite", "theorem2", "--max-n", "30"], "theorem2 limited to max_ell <= 17"),
+        (["--max-vars", "6"], "oracle limited to 5 variables"),
+        (["--max-weight", "14"], "theorem1 limited to max_weight <= 12"),
     ],
 )
 def test_verify_refusals_exit_2_before_any_work(capsys, tmp_path, argv, message):
@@ -257,10 +281,11 @@ def test_verify_refusals_exit_2_before_any_work(capsys, tmp_path, argv, message)
         for name, entry in verify._SUITES.items()
     }
     argv = [a.format(tmp=tmp_path) for a in argv]
+    start = time.perf_counter()
     with mock.patch.dict(verify._SUITES, suites):
         code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == "" and err.startswith("error: ") and message in err
-    assert evaluated == []
+    assert evaluated == [] and time.perf_counter() - start < 1
 
 
 def test_verify_report_is_replaced_only_by_a_run(capsys, tmp_path):

@@ -23,7 +23,6 @@ from qgue import (
 )
 from qgue import exactq
 from qgue.exactq import (
-    _gcd_int,
     _inflate,
     _int_divides,
     _mul_int,
@@ -32,6 +31,8 @@ from qgue.exactq import (
     _subresultant_gcd,
 )
 from qgue.verify import verify_suite
+
+from oracles import euclid_gcd
 
 
 def test_q_integer_examples():
@@ -224,15 +225,29 @@ int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda 
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(int_poly, int_poly, int_poly)
-def test_subresultant_gcd_matches_gcd_int(g, u, v):
-    # the heuristic gcd nearly always succeeds, so the fallback needs its own check
+@given(
+    st.sampled_from(("planted", "coprime", "constant", "in q^k")),
+    int_poly,
+    int_poly,
+    int_poly,
+    st.integers(2, 5),
+)
+def test_subresultant_gcd_matches_euclid_over_q(kind, g, u, v, k):
+    if kind == "coprime":
+        # any common factor of u and q u v + 1 divides 1
+        g, v = [1], [1] + _mul_int(u, v)
+    elif kind == "constant":
+        g, u = [1], u[:1]
+    elif kind == "in q^k":
+        g, u, v = _inflate(g, k), _inflate(u, k), _inflate(v, k)
     g = _primitive(g)
     a = _primitive(_mul_int(g, u))
     b = _primitive(_mul_int(g, v))
-    got = _primitive(_subresultant_gcd(a, b))
-    assert got == _gcd_int(a, b)
+    got = _subresultant_gcd(a, b)
+    assert got == euclid_gcd(a, b)
     assert _int_divides(g, got) is not None
+    if kind in ("coprime", "constant"):
+        assert got == [1]
 
 
 rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -276,12 +291,6 @@ def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
             a_r[i] += c
         assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
     assert _int_divides(u, v) == _plain(_int_divides, u, v)
-    # a planted common factor; the gcd's candidate checks divide strided lists
-    p = _primitive(g)
-    a, b = _primitive(_mul_int(p, u)), _primitive(_mul_int(p, v))
-    got = _gcd_int(a, b)
-    assert got == _plain(_gcd_int, a, b)
-    assert _int_divides(p, got) is not None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
