@@ -9,7 +9,11 @@ Two parallel routes to multivariate integrals live here:
     multiply by the squared Vandermonde factor, and apply a univariate
     functional coordinatewise.  The alternants, Schur polynomials and
     power sums have integer coefficients, so this route computes over Z
-    and q enters only through the moments, in `apply_M0`.
+    and q enters only through the moments, in `apply_M0`.  The functional
+    and the squared Vandermonde are symmetric, so the integrand is first
+    folded onto sorted exponent signatures: one monomial per orbit is
+    multiplied out, and the result is exact for any integrand.  Products and
+    the alternant division add exponents packed into one int per monomial.
 
 Determinant orientation is fixed once and for all: in every alternant the
 row index is the variable and column j carries exponent kappa_j + N - j
@@ -20,7 +24,7 @@ coefficients are nonnegative integers.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
@@ -161,7 +165,9 @@ Coefficient = Union[int, Scalar]
 class MonomialMap:
     """Sparse multivariate polynomial: exponent tuples of fixed length to
     coefficients, int in every map the library builds.  Coefficients are only
-    added, multiplied and tested for truth, so Scalar values work too."""
+    added, multiplied and tested for truth, so Scalar values work too.
+    Exponents are nonnegative: a product of maps that hold a negative one,
+    or of maps in different numbers of variables, raises ValueError."""
 
     __slots__ = ("n_vars", "terms")
 
@@ -199,12 +205,15 @@ class MonomialMap:
         return MonomialMap(self.n_vars, out)
 
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
-        out: Dict[Tuple[int, ...], Coefficient] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return MonomialMap(self.n_vars, out)
+        packing = _Packing(self, other)
+        right = packing.pack(other.terms).items()
+        out: Dict[int, Coefficient] = {}
+        get = out.get
+        for ka, ca in packing.pack(self.terms).items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return MonomialMap(self.n_vars, packing.unpack(out))
 
     def scale(self, c: Coefficient) -> "MonomialMap":
         if not c:
@@ -214,6 +223,43 @@ class MonomialMap:
     def __repr__(self) -> str:
         items = sorted(self.terms)
         return f"MonomialMap({self.n_vars}, {{{', '.join(f'{e}: {self.terms[e]}' for e in items)}}})"
+
+
+class _Packing:
+    """One int per monomial: the exponents of a fixed number of variables in
+    fields of equal width, the first variable in the highest field, so that
+    lex order of exponent tuples is the order of the ints.  The width holds the
+    largest exponent of the maps it is built for plus one guard bit; the sum of
+    two packed exponents of those maps therefore never carries from one field
+    into the next, and `guard`, the top bit of every field, flags a field that
+    went negative in a subtraction or outgrew the maps' exponents."""
+
+    __slots__ = ("n_vars", "width", "guard")
+
+    def __init__(self, *maps: MonomialMap):
+        self.n_vars = maps[0].n_vars
+        if any(m.n_vars != self.n_vars for m in maps):
+            raise ValueError("maps in different numbers of variables")
+        flat = [x for m in maps for x in chain.from_iterable(m.terms)]
+        if min(flat, default=0) < 0:
+            raise ValueError("exponents must be nonnegative")
+        self.width = max(flat, default=0).bit_length() + 1
+        self.guard = self.pack_one((1 << (self.width - 1),) * self.n_vars)
+
+    def pack_one(self, exps: Tuple[int, ...]) -> int:
+        key = 0
+        for x in exps:
+            key = (key << self.width) | x
+        return key
+
+    def pack(self, terms: Dict[Tuple[int, ...], Coefficient]) -> Dict[int, Coefficient]:
+        pack_one = self.pack_one
+        return {pack_one(e): c for e, c in terms.items()}
+
+    def unpack(self, terms: Dict[int, Coefficient]) -> Dict[Tuple[int, ...], Coefficient]:
+        mask = (1 << self.width) - 1
+        shifts = [self.width * i for i in range(self.n_vars - 1, -1, -1)]
+        return {tuple([(k >> s) & mask for s in shifts]): c for k, c in terms.items()}
 
 
 def _alternant(exponents: Tuple[int, ...], n: int) -> MonomialMap:
@@ -240,27 +286,38 @@ def _vandermonde_squared(n: int) -> MonomialMap:
 
 
 def _exact_div(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    """Exact division of integer-valued maps with respect to lex order;
-    raises ArithmeticError if g does not divide f over the integers."""
-    lead_g = max(g.terms)
-    cg = g.terms[lead_g]
-    work = dict(f.terms)
-    quot: Dict[Tuple[int, ...], int] = {}
+    """Exact division of integer-valued maps with respect to lex order, on
+    packed exponents; raises ArithmeticError if g does not divide f over the
+    integers.  A quotient exponent is the lead difference, taken with every
+    guard bit lent to the lead, so a field that went negative is the one
+    whose guard bit is set once the loan is returned.  When f = q g exactly,
+    the degree of q in each variable is that of f minus that of g, so no
+    exponent built here exceeds f's; a quotient term whose sum with the
+    componentwise maximum of g's exponents sets a guard bit proves the
+    division inexact before any product can overflow its field."""
+    packing = _Packing(f, g)
+    guard = packing.guard
+    g_terms = packing.pack(g.terms)
+    lead_g = max(g_terms)
+    cg = g_terms[lead_g]
+    g_top = packing.pack_one(tuple(map(max, zip(*g.terms))))
+    work = packing.pack(f.terms)
+    quot: Dict[int, int] = {}
     while work:
         lead = max(work)
-        e = tuple(a - b for a, b in zip(lead, lead_g))
+        e = ((lead | guard) - lead_g) ^ guard
         c, r = divmod(work[lead], cg)
-        if r or any(x < 0 for x in e):
+        if r or (e | e + g_top) & guard:
             raise ArithmeticError("multivariate division is not exact")
         quot[e] = c
-        for eg, vg in g.terms.items():
-            key = tuple(x + y for x, y in zip(e, eg))
+        for kg, vg in g_terms.items():
+            key = e + kg
             s = work.get(key, 0) - c * vg
             if s:
                 work[key] = s
             else:
                 work.pop(key, None)
-    return MonomialMap(f.n_vars, quot)
+    return MonomialMap(f.n_vars, packing.unpack(quot))
 
 
 def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
@@ -427,17 +484,22 @@ def power_sum_monomials(m: int, n_vars: int) -> MonomialMap:
 Moments = Callable[[int], Scalar]
 
 
+def _fold(f: MonomialMap) -> Dict[Tuple[int, ...], Coefficient]:
+    """The coefficients of f summed over each sorted exponent signature."""
+    groups: Dict[Tuple[int, ...], Coefficient] = {}
+    for exps, c in f.terms.items():
+        sig = tuple(sorted(exps))
+        groups[sig] = groups.get(sig, 0) + c
+    return groups
+
+
 def apply_M0(f: MonomialMap, moments: Moments) -> Scalar:
     """Apply a univariate functional coordinatewise: x**e_1 ... x**e_N maps to
     the product of moments(e_i).  Monomials are grouped by sorted exponent
     signature so each product is computed once; an integer group sum enters
     Q(q) when it is multiplied by the first moment."""
-    groups: Dict[Tuple[int, ...], Coefficient] = {}
-    for exps, c in f.terms.items():
-        sig = tuple(sorted(exps))
-        groups[sig] = groups.get(sig, 0) + c
     total = ZERO
-    for sig, c in groups.items():
+    for sig, c in _fold(f).items():
         prod = c
         for e in sig:
             if not prod:
@@ -448,11 +510,17 @@ def apply_M0(f: MonomialMap, moments: Moments) -> Scalar:
 
 
 def apply_M2(f: MonomialMap, moments: Moments) -> Scalar:
-    """The definitional brute-force integral: expand f times the squared
-    Vandermonde factor and apply the functional coordinatewise."""
+    """The definitional brute-force integral M0(f * Vandermonde**2): the product
+    is fully expanded and the functional applied coordinatewise.
+
+    f is first folded onto sorted exponent signatures, which is exact for any
+    f, symmetric or not.  M0 is symmetric, M0(x**(s e)) = M0(x**e) for every
+    permutation s of the variables, and so is the squared Vandermonde V2; hence
+    M0(x**(s e) V2) = M0(s(x**e V2)) = M0(x**e V2), and by linearity M0(f V2)
+    depends only on the sum of f's coefficients over each signature."""
     n = f.n_vars
     check_oracle_size(n, f.total_degree)
-    return apply_M0(f * _vandermonde_squared(n), moments)
+    return apply_M0(MonomialMap(n, _fold(f)) * _vandermonde_squared(n), moments)
 
 
 def check_oracle_size(n_vars: int, degree: int) -> None:

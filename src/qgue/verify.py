@@ -310,7 +310,11 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 #   theorem1 max_weight 12, max_vars 17: 15 s (max_vars 18: 19 s, max_weight 14: 30 s);
 #   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);
 #   theorem5 2(m+s) 52: 17-19 s at (17, 9) and (16, 10) (54: 21 s at (18, 9));
-#   qhz 2(m+s) 58: 15 s at (4, 25) and (3, 26) (60: 20-21 s at (4, 26), (5, 25)).
+#   qhz 2(m+s) 58: 15 s at (4, 25) and (3, 26) (60: 20-21 s at (4, 26), (5, 25));
+#   theorem3 max_weight 14: 14 s at max_vars 5 (15: 21 s, 16: 32 s).
+# theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its
+# edge they take 5.2 and 5.0 s at (max_weight, max_vars) = (20, 5), 0.7 and
+# 1.0 s at (28, 4), and 0.2 and 0.6 s at (34, 3).
 # The max_s caps of 26 were timed at the default max_weight 6; for theorem5
 # the 2(m+s) cap is the tighter one.  theorem2's max_ell cap equals
 # orthogonality's max_n cap, so `--max-n 17` still runs every suite.
@@ -332,6 +336,7 @@ _SUITES: Dict[str, _Suite] = {
             {"max_weight": 6, "max_vars": 4},
             lambda: _theorem3_rows([(1, 6), (2, 6), (3, 6), (4, 4)]),
         ),
+        caps={"max_weight": 14},
         oracle=lambda max_weight, max_vars: (max_vars, max_weight),
     ),
     "theorem4": _Suite(

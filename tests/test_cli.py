@@ -260,6 +260,19 @@ def test_verify_empty_grid_is_usage_error(capsys, argv):
         (["--suite", "theorem2", "--max-n", "30"], "theorem2 limited to max_ell <= 17"),
         (["--max-vars", "6"], "oracle limited to 5 variables"),
         (["--max-weight", "14"], "theorem1 limited to max_weight <= 12"),
+        (["--suite", "theorem3", "--max-weight", "15"], "theorem3 limited to max_weight <= 14"),
+        (
+            ["--suite", "theorem3", "--max-weight", "20", "--max-vars", "2"],
+            "theorem3 limited to max_weight <= 14, got 20",
+        ),
+        (
+            ["--suite", "theorem4", "--max-weight", "22", "--max-vars", "5"],
+            "theorem4: oracle limited to total degree 40, got 42",
+        ),
+        (
+            ["--suite", "sigma", "--max-weight", "30", "--max-vars", "4"],
+            "sigma: oracle limited to total degree 40, got 42",
+        ),
     ],
 )
 def test_verify_refusals_exit_2_before_any_work(capsys, tmp_path, argv, message):

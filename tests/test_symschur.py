@@ -2,8 +2,11 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgue import (
     ONE,
@@ -24,6 +27,7 @@ from qgue import (
     generalized_binomial,
     hermite_family,
     hook_decomposition,
+    integrate_schur,
     monomial_family,
     partitions,
     power_sum_monomials,
@@ -34,7 +38,13 @@ from qgue import (
     vandermonde,
 )
 from qgue.symschur import _exact_div, _vandermonde_squared
-from oracles import family_alternant, ssyt_schur
+from oracles import (
+    family_alternant,
+    ssyt_schur,
+    tuple_exact_div,
+    tuple_product,
+    vandermonde_squared,
+)
 
 P = Partition
 
@@ -72,8 +82,8 @@ def test_schur_examples():
 
 
 def test_schur_against_tableau_enumeration():
-    for n in (1, 2, 3):
-        for kappa in partitions(4, n):
+    for n in (1, 2, 3, 4):
+        for kappa in partitions(6, n):
             expected = ssyt_schur(kappa.parts, n)
             got = schur_monomials(kappa, n)
             assert {e: c for e, c in got.terms.items()} == {
@@ -109,7 +119,59 @@ def test_exact_div_raises_when_inexact():
         _exact_div(MonomialMap(2, {(1, 0): 1}), MonomialMap(2, {(0, 1): 1}))
     with pytest.raises(ArithmeticError):  # 2 x_0 / 3 x_0: remainder over Z
         _exact_div(MonomialMap(1, {(1,): 2}), MonomialMap(1, {(1,): 3}))
+    with pytest.raises(ArithmeticError):  # x_0^2 / x_0 x_1: negative in a later coordinate
+        _exact_div(MonomialMap(2, {(2, 0): 1}), MonomialMap(2, {(1, 1): 1}))
+    with pytest.raises(ArithmeticError):  # every divisor exponent above the dividend's
+        _exact_div(MonomialMap(2, {(1, 1): 1}), MonomialMap(2, {(4, 5): 1}))
+    with pytest.raises(ArithmeticError):  # x_0^7 / (x_0 - x_1^3): the quotient outgrows x_0^7
+        _exact_div(MonomialMap(2, {(7, 0): 1}), MonomialMap(2, {(1, 0): 1, (0, 3): -1}))
     assert _exact_div(MonomialMap(1, {(1,): 6}), MonomialMap(1, {(1,): 3})).terms == {(0,): 2}
+
+
+# exponents on both sides of the field widths 2**k - 1 | 2**k of packed monomials
+_EXPONENTS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+_TERMS = st.dictionaries(st.tuples(*[_EXPONENTS] * 4), st.integers(-3, 3), max_size=5)
+
+
+def _monomial_map(n_vars, terms, scalar=False):
+    """A map in n_vars variables from 4-variable terms, keeping the first n_vars."""
+    out = {}
+    for e, c in terms.items():
+        out[e[:n_vars]] = out.get(e[:n_vars], 0) + c
+    if scalar:
+        out = {e: Scalar.from_fraction(c) for e, c in out.items()}
+    return MonomialMap(n_vars, out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), a=_TERMS, b=_TERMS, scalar=st.booleans())
+def test_packed_product_matches_tuple_product(n, a, b, scalar):
+    f, g = _monomial_map(n, a, scalar), _monomial_map(n, b)
+    assert f * g == tuple_product(f, g)
+
+
+def test_packed_product_rejects_bad_operands():
+    with pytest.raises(ValueError):
+        MonomialMap(2, {(1, -1): 1}) * MonomialMap(2, {(0, 1): 1})
+    with pytest.raises(ValueError):
+        MonomialMap(1, {(1,): 1}) * MonomialMap(2, {(0, 1): 1})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), q=_TERMS, g=_TERMS.filter(bool), f=_TERMS)
+@example(n=1, q={(31, 0, 0, 0): 2, (1, 0, 0, 0): -1}, g={(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, f={})
+def test_packed_exact_div_matches_tuple_division(n, q, g, f):
+    qm, gm, fm = _monomial_map(n, q), _monomial_map(n, g), _monomial_map(n, f)
+    if gm.is_zero:
+        return
+    assert _exact_div(tuple_product(qm, gm), gm) == qm
+    try:
+        want = tuple_exact_div(fm, gm)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _exact_div(fm, gm)
+    else:
+        assert _exact_div(fm, gm) == want
 
 
 def test_determinant():
@@ -232,6 +294,38 @@ def test_apply_M2_examples():
     assert apply_M2(MonomialMap.constant(2, ONE), L) == Scalar.from_fraction(2)
     assert apply_M2(MonomialMap(2, {(1, 1): ONE}), L) == Scalar.from_fraction(-2)
     assert apply_M2(MonomialMap(1, {(2,): ONE}), L) == ONE
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 4), st.integers(-3, 3), max_size=6),
+    scalar=st.booleans(),
+)
+@example(n=4, terms={(0, 0, 0, 0): 1}, scalar=False)
+@example(n=3, terms={(0, 0, 0, 0): 2}, scalar=True)
+def test_apply_M2_folds_maps_that_are_not_symmetric(n, terms, scalar):
+    f = _monomial_map(n, terms, scalar)
+    want = apply_M0(tuple_product(f, vandermonde_squared(n)), gaussian_moment)
+    assert apply_M2(f, gaussian_moment) == want
+
+
+def test_oracle_multiplies_one_monomial_per_signature():
+    # the squared Vandermonde factor meets f only after f is folded
+    f = schur_monomials(P((4, 2, 2)), 5)
+    signatures = {tuple(sorted(e)) for e in f.terms}
+    real_mul = MonomialMap.__mul__
+    calls = []
+
+    def recording(a, b):
+        calls.append((len(a.terms), b))
+        return real_mul(a, b)
+
+    integrate_schur.cache_clear()
+    with mock.patch.object(MonomialMap, "__mul__", recording):
+        integrate_schur(P((4, 2, 2)), 5, "oracle")
+    sizes = [size for size, b in calls if b is _vandermonde_squared(5)]
+    assert sizes and max(sizes) <= len(signatures) < len(f.terms)
 
 
 def test_apply_M2_guardrails():
