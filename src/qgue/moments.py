@@ -84,10 +84,9 @@ def gaussian_moment(n: int) -> Scalar:
     return functional_L(XPoly.x_power(n))
 
 
-@lru_cache(maxsize=None)
 def hermite_norm(j: int) -> Scalar:
-    """L(H_j**2), computed directly."""
-    return functional_L(hermite(j) * hermite(j))
+    """L(H_j**2), the m = 0 case of hermite_squared_moment."""
+    return hermite_squared_moment(0, j)
 
 
 @lru_cache(maxsize=None)

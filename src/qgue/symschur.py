@@ -9,22 +9,24 @@ Two parallel routes to multivariate integrals live here:
     multiply by the squared Vandermonde factor, and apply a univariate
     functional coordinatewise.  The alternants, Schur polynomials and
     power sums have integer coefficients, so this route computes over Z
-    and q enters only through the moments, in `apply_M0`.  The functional
-    and the squared Vandermonde are symmetric, so the integrand is first
-    folded onto sorted exponent signatures: one monomial per orbit is
-    multiplied out, and the result is exact for any integrand.  Products and
-    the alternant division add exponents packed into one int per monomial.
+    and q enters only through the moments, in `apply_M0`.  Schur polynomials
+    come from the branching rule.  The functional and the squared
+    Vandermonde are symmetric, so the integrand is first folded onto sorted
+    exponent signatures: one monomial per orbit is multiplied out, and the
+    result is exact for any integrand.  Products add exponents packed into
+    one int per monomial.
 
 Determinant orientation is fixed once and for all: in every alternant the
 row index is the variable and column j carries exponent kappa_j + N - j
-(so the Vandermonde uses N - j).  With this choice s_emptyset = 1 and Schur
-coefficients are nonnegative integers.
+(so the Vandermonde uses N - j).  With this choice the shifted alternant is
+s_kappa times the Vandermonde, with s_emptyset = 1 and nonnegative integer
+Schur coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
@@ -227,14 +229,12 @@ class MonomialMap:
 
 class _Packing:
     """One int per monomial: the exponents of a fixed number of variables in
-    fields of equal width, the first variable in the highest field, so that
-    lex order of exponent tuples is the order of the ints.  The width holds the
-    largest exponent of the maps it is built for plus one guard bit; the sum of
-    two packed exponents of those maps therefore never carries from one field
-    into the next, and `guard`, the top bit of every field, flags a field that
-    went negative in a subtraction or outgrew the maps' exponents."""
+    fields of equal width, the first variable in the highest field.  The width
+    holds the largest exponent of the maps it is built for plus one spare bit,
+    so the sum of two packed exponents of those maps never carries from one
+    field into the next."""
 
-    __slots__ = ("n_vars", "width", "guard")
+    __slots__ = ("n_vars", "width")
 
     def __init__(self, *maps: MonomialMap):
         self.n_vars = maps[0].n_vars
@@ -244,17 +244,16 @@ class _Packing:
         if min(flat, default=0) < 0:
             raise ValueError("exponents must be nonnegative")
         self.width = max(flat, default=0).bit_length() + 1
-        self.guard = self.pack_one((1 << (self.width - 1),) * self.n_vars)
-
-    def pack_one(self, exps: Tuple[int, ...]) -> int:
-        key = 0
-        for x in exps:
-            key = (key << self.width) | x
-        return key
 
     def pack(self, terms: Dict[Tuple[int, ...], Coefficient]) -> Dict[int, Coefficient]:
-        pack_one = self.pack_one
-        return {pack_one(e): c for e, c in terms.items()}
+        width = self.width
+        out: Dict[int, Coefficient] = {}
+        for exps, c in terms.items():
+            key = 0
+            for x in exps:
+                key = (key << width) | x
+            out[key] = c
+        return out
 
     def unpack(self, terms: Dict[int, Coefficient]) -> Dict[Tuple[int, ...], Coefficient]:
         mask = (1 << self.width) - 1
@@ -273,7 +272,6 @@ def _alternant(exponents: Tuple[int, ...], n: int) -> MonomialMap:
     return MonomialMap(n, terms)
 
 
-@lru_cache(maxsize=None)
 def vandermonde(n: int) -> MonomialMap:
     """prod_{i<j} (x_i - x_j), expanded: det[x_i ** (n - j)]."""
     return _alternant(tuple(n - 1 - j for j in range(n)), n)
@@ -285,51 +283,39 @@ def _vandermonde_squared(n: int) -> MonomialMap:
     return v * v
 
 
-def _exact_div(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    """Exact division of integer-valued maps with respect to lex order, on
-    packed exponents; raises ArithmeticError if g does not divide f over the
-    integers.  A quotient exponent is the lead difference, taken with every
-    guard bit lent to the lead, so a field that went negative is the one
-    whose guard bit is set once the loan is returned.  When f = q g exactly,
-    the degree of q in each variable is that of f minus that of g, so no
-    exponent built here exceeds f's; a quotient term whose sum with the
-    componentwise maximum of g's exponents sets a guard bit proves the
-    division inexact before any product can overflow its field."""
-    packing = _Packing(f, g)
-    guard = packing.guard
-    g_terms = packing.pack(g.terms)
-    lead_g = max(g_terms)
-    cg = g_terms[lead_g]
-    g_top = packing.pack_one(tuple(map(max, zip(*g.terms))))
-    work = packing.pack(f.terms)
-    quot: Dict[int, int] = {}
-    while work:
-        lead = max(work)
-        e = ((lead | guard) - lead_g) ^ guard
-        c, r = divmod(work[lead], cg)
-        if r or (e | e + g_top) & guard:
-            raise ArithmeticError("multivariate division is not exact")
-        quot[e] = c
-        for kg, vg in g_terms.items():
-            key = e + kg
-            s = work.get(key, 0) - c * vg
-            if s:
-                work[key] = s
-            else:
-                work.pop(key, None)
-    return MonomialMap(f.n_vars, packing.unpack(quot))
-
-
 def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
     """The Schur polynomial s_kappa in n_vars variables, fully expanded.
 
-    Computed as the ratio of the shifted alternant by the Vandermonde
-    alternant, both in the fixed column orientation.
+    Computed by the branching rule (Macdonald, Symmetric Functions, I.5):
+    s_lam(x_1..x_n) = sum_mu s_mu(x_1..x_{n-1}) x_n**(|lam| - |mu|) over the mu
+    of length <= n - 1 that interlace lam, lam_{i+1} <= mu_i <= lam_i.  The
+    expansions of the mu are memoised for this call only.
     """
     if kappa.length > n_vars:
         raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
-    exps = tuple(kappa.part(j) + n_vars - 1 - j for j in range(n_vars))
-    return _exact_div(_alternant(exps, n_vars), vandermonde(n_vars))
+    lam = tuple(kappa.part(j) for j in range(n_vars))
+    return MonomialMap(n_vars, _branch(lam, {(): {(): 1}}, n_vars))
+
+
+def _branch(
+    lam: Tuple[int, ...], memo: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]], n_vars: int
+) -> Dict[Tuple[int, ...], int]:
+    """The monomials of s_lam in len(lam) variables, lam padded with zeros to
+    that length, so mu has one slot fewer than lam and the length bound of the
+    branching rule is the range of the slots.  memo keeps the expansions in
+    n_vars - 2 or fewer variables; each one in n_vars - 1 variables is used once."""
+    out = memo.get(lam)
+    if out is None:
+        out = {}
+        weight = sum(lam)
+        for mu in product(*(range(b, a + 1) for a, b in zip(lam, lam[1:]))):
+            last = (weight - sum(mu),)
+            for e, c in _branch(mu, memo, n_vars).items():
+                key = e + last
+                out[key] = out.get(key, 0) + c
+        if len(lam) < n_vars - 1:
+            memo[lam] = out
+    return out
 
 
 class SchurVector:

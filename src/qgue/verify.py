@@ -311,7 +311,7 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 #   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);
 #   theorem5 2(m+s) 52: 17-19 s at (17, 9) and (16, 10) (54: 21 s at (18, 9));
 #   qhz 2(m+s) 58: 15 s at (4, 25) and (3, 26) (60: 20-21 s at (4, 26), (5, 25));
-#   theorem3 max_weight 14: 14 s at max_vars 5 (15: 21 s, 16: 32 s).
+#   theorem3 max_weight 14: 16-18 s at max_vars 5 (15: 20 s, 16: 31 s).
 # theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its
 # edge they take 5.2 and 5.0 s at (max_weight, max_vars) = (20, 5), 0.7 and
 # 1.0 s at (28, 4), and 0.2 and 0.6 s at (34, 3).

@@ -3,8 +3,8 @@
 Nothing here reuses the library's determinant or operator routes: Schur
 polynomials come from tableau enumeration, multivariate determinants from
 explicit permutation expansion, map counts from first principles, and
-polynomial gcds from Euclid's algorithm over Q.  Multivariate products and
-divisions work on exponent tuples, the representation the library packs away.
+polynomial gcds from Euclid's algorithm over Q.  Multivariate products work
+on exponent tuples, the representation the library packs away.
 """
 
 from fractions import Fraction
@@ -62,27 +62,6 @@ def tuple_product(f: MonomialMap, g: MonomialMap) -> MonomialMap:
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return MonomialMap(f.n_vars, out)
-
-
-def tuple_exact_div(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    """Lex-order division of integer-valued maps on exponent tuples; raises
-    ArithmeticError unless g divides f over the integers."""
-    lead_g = max(g.terms)
-    work = dict(f.terms)
-    quot = {}
-    while work:
-        lead = max(work)
-        e = tuple(a - b for a, b in zip(lead, lead_g))
-        c, r = divmod(work[lead], g.terms[lead_g])
-        if r or min(e, default=0) < 0:
-            raise ArithmeticError("not exact")
-        quot[e] = c
-        for eg, vg in g.terms.items():
-            key = tuple(x + y for x, y in zip(e, eg))
-            work[key] = work.get(key, 0) - c * vg
-            if not work[key]:
-                del work[key]
-    return MonomialMap(f.n_vars, quot)
 
 
 def vandermonde_squared(n_vars: int) -> MonomialMap:

@@ -37,14 +37,8 @@ from qgue import (
     sigma_at_zero,
     vandermonde,
 )
-from qgue.symschur import _exact_div, _vandermonde_squared
-from oracles import (
-    family_alternant,
-    ssyt_schur,
-    tuple_exact_div,
-    tuple_product,
-    vandermonde_squared,
-)
+from qgue.symschur import _alternant, _vandermonde_squared
+from oracles import family_alternant, ssyt_schur, tuple_product, vandermonde_squared
 
 P = Partition
 
@@ -77,12 +71,16 @@ def test_schur_examples():
     assert schur_monomials(P((1,)), 2).terms == {(1, 0): ONE, (0, 1): ONE}
     assert schur_monomials(P(), 3).terms == {(0, 0, 0): ONE}
     assert schur_monomials(P((2, 1)), 2).terms == {(2, 1): ONE, (1, 2): ONE}
+    assert schur_monomials(P(), 0).terms == {(): 1}
     with pytest.raises(ShapeError):
         schur_monomials(P((1, 1, 1)), 2)
+    with pytest.raises(ShapeError):
+        schur_monomials(P(), -1)
 
 
 def test_schur_against_tableau_enumeration():
-    for n in (1, 2, 3, 4):
+    # up to the oracle's 5 variables, the branching recursion's full depth
+    for n in (1, 2, 3, 4, 5):
         for kappa in partitions(6, n):
             expected = ssyt_schur(kappa.parts, n)
             got = schur_monomials(kappa, n)
@@ -96,6 +94,14 @@ def test_schur_coefficients_are_nonnegative_integers():
         for kappa in partitions(5, n):
             for c in schur_monomials(kappa, n).terms.values():
                 assert type(c) is int and c > 0
+
+
+def test_schur_times_vandermonde_is_the_bialternant():
+    # s_kappa * a_delta = a_{kappa + delta}, the alternant-ratio definition
+    for n, max_weight in ((1, 6), (2, 6), (3, 6), (4, 6), (5, 4)):
+        for kappa in partitions(max_weight, n):
+            want = _alternant(tuple(kappa.part(j) + n - 1 - j for j in range(n)), n)
+            assert tuple_product(schur_monomials(kappa, n), vandermonde(n)) == want
 
 
 def test_vandermonde():
@@ -112,20 +118,6 @@ def test_oracle_maps_are_integer_valued():
         maps += [schur_monomials(kappa, n) for kappa in partitions(4, n)]
     for f in maps:
         assert f.terms and all(type(c) is int for c in f.terms.values())
-
-
-def test_exact_div_raises_when_inexact():
-    with pytest.raises(ArithmeticError):  # x_0 / x_1: negative exponent
-        _exact_div(MonomialMap(2, {(1, 0): 1}), MonomialMap(2, {(0, 1): 1}))
-    with pytest.raises(ArithmeticError):  # 2 x_0 / 3 x_0: remainder over Z
-        _exact_div(MonomialMap(1, {(1,): 2}), MonomialMap(1, {(1,): 3}))
-    with pytest.raises(ArithmeticError):  # x_0^2 / x_0 x_1: negative in a later coordinate
-        _exact_div(MonomialMap(2, {(2, 0): 1}), MonomialMap(2, {(1, 1): 1}))
-    with pytest.raises(ArithmeticError):  # every divisor exponent above the dividend's
-        _exact_div(MonomialMap(2, {(1, 1): 1}), MonomialMap(2, {(4, 5): 1}))
-    with pytest.raises(ArithmeticError):  # x_0^7 / (x_0 - x_1^3): the quotient outgrows x_0^7
-        _exact_div(MonomialMap(2, {(7, 0): 1}), MonomialMap(2, {(1, 0): 1, (0, 3): -1}))
-    assert _exact_div(MonomialMap(1, {(1,): 6}), MonomialMap(1, {(1,): 3})).terms == {(0,): 2}
 
 
 # exponents on both sides of the field widths 2**k - 1 | 2**k of packed monomials
@@ -155,23 +147,6 @@ def test_packed_product_rejects_bad_operands():
         MonomialMap(2, {(1, -1): 1}) * MonomialMap(2, {(0, 1): 1})
     with pytest.raises(ValueError):
         MonomialMap(1, {(1,): 1}) * MonomialMap(2, {(0, 1): 1})
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 4), q=_TERMS, g=_TERMS.filter(bool), f=_TERMS)
-@example(n=1, q={(31, 0, 0, 0): 2, (1, 0, 0, 0): -1}, g={(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, f={})
-def test_packed_exact_div_matches_tuple_division(n, q, g, f):
-    qm, gm, fm = _monomial_map(n, q), _monomial_map(n, g), _monomial_map(n, f)
-    if gm.is_zero:
-        return
-    assert _exact_div(tuple_product(qm, gm), gm) == qm
-    try:
-        want = tuple_exact_div(fm, gm)
-    except ArithmeticError:
-        with pytest.raises(ArithmeticError):
-            _exact_div(fm, gm)
-    else:
-        assert _exact_div(fm, gm) == want
 
 
 def test_determinant():
