@@ -8,21 +8,25 @@ This is the ground field for the whole package.  Three layers:
   * `QPolynomial`: dense univariate polynomial in q, trailing zeros
     stripped; the zero polynomial is the empty coefficient sequence.
     Multiplication and evaluation run the coefficient-list kernels below
-    directly; exact division runs them on the primitive integer parts, so
-    every Z[q] loop is written once.  The one gcd is Collins' subresultant
-    PRS on the primitive integer parts.  When every
-    exponent of both operands is a multiple of some k > 1 (as in the
-    squared base, where everything is a polynomial in q^2), the product
-    and exact-division kernels run on the strided lists a[::k], b[::k]
-    and inflate the result; see `_stride`.
+    directly.  One division loop, `_int_divmod`, serves both exact
+    division, on the primitive integer parts, and the pseudo-remainders of
+    the one gcd, Collins' subresultant PRS on the primitive integer parts.
+    When every exponent of both operands is a multiple of some k > 1 (as
+    in the squared base, where everything is a polynomial in q^2), the
+    product and exact-division kernels run on the strided lists a[::k],
+    b[::k] and inflate the result; see `_stride`.
   * `Scalar`: a reduced ratio num/den of two `QPolynomial` with monic
     denominator.  Construction always canonicalizes, so `==` on Scalars
     is exact field equality.  Once the common power of q is stripped, a
-    side with a single nonzero coefficient is coprime to the other, so
-    such a pair skips the exact division and the gcd.  Otherwise a pair
-    reduces by one exact-division attempt num/den, then by the gcd.
+    side with a single nonzero coefficient (a constant among them) is
+    coprime to the other, so such a pair skips the exact division and the
+    gcd.  Otherwise a pair reduces by one exact-division attempt num/den,
+    then by the gcd.
 
-Everything is immutable after construction and safe to share freely.
+Values never change after construction and are safe to share freely.  The
+one late write, the memo `QPolynomial._prim` of the primitive integer part,
+is safe too: racing threads may each write it, but every writer computes the
+same value from the immutable coefficients, and nothing mutates it after.
 """
 
 from __future__ import annotations
@@ -142,20 +146,17 @@ def _mul_int(a, b):
     return out
 
 
-def _int_divides(g, a):
-    """Exact integer-polynomial division a/g, or None at the first non-integral step."""
-    dd = len(a) - len(g)
-    if dd < 0:
-        return None
-    k = _stride(g, a)
-    if k > 1:
-        out = _int_divides(g[::k], a[::k])
-        return None if out is None else _inflate(out, k)
-    rem = list(a)
-    lg = g[-1]
+def _int_divmod(g, a):
+    """(quotient, low remainder) of a by g over Z, the remainder len(g) - 1 long.
+
+    None when a step's leading coefficient is not a multiple of g's, which
+    cannot happen when g's leading coefficient is 1 or -1.
+    """
     ng = len(g)
-    out = [0] * (dd + 1)
-    for i in range(dd, -1, -1):
+    rem = list(a) + [0] * (ng - 1 - len(a))
+    lg = g[-1]
+    out = [0] * max(len(a) - ng + 1, 0)
+    for i in range(len(out) - 1, -1, -1):
         c = rem[i + ng - 1]
         if c:
             q, r = divmod(c, lg)
@@ -164,9 +165,19 @@ def _int_divides(g, a):
             out[i] = q
             for j in range(ng - 1):
                 rem[i + j] -= q * g[j]
-    if any(rem[j] for j in range(ng - 1)):
+    return out, rem[: ng - 1]
+
+
+def _int_divides(g, a):
+    """Exact integer-polynomial division a/g, or None when it is not exact."""
+    k = _stride(g, a)
+    if k > 1:
+        out = _int_divides(g[::k], a[::k])
+        return None if out is None else _inflate(out, k)
+    qr = _int_divmod(g, a)
+    if qr is None or any(qr[1]):
         return None
-    return out
+    return qr[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +284,7 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        out = list(self.coeffs)
-        b = other.coeffs
-        if len(out) < len(b):
-            out.extend([0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return QPolynomial(out)
+        return self + (-other)
 
     def __neg__(self) -> "QPolynomial":
         return QPolynomial._raw(tuple(-c for c in self.coeffs))
@@ -376,17 +381,12 @@ def _subresultant_gcd(a, b):
     g, h = 1, 1
     while True:
         delta = len(a) - len(b)
-        # pseudo-remainder of a by b
-        rem = [c * b[-1] ** (delta + 1) for c in a]
-        nb = len(b)
-        for i in range(delta, -1, -1):
-            c = rem[i + nb - 1]
-            if c:
-                q, r = divmod(c, b[-1])
-                if r:
-                    raise ArithmeticError("pseudo-remainder is not integral; need integer lists")
-                for j in range(nb):
-                    rem[i + j] -= q * b[j]
+        # pseudo-remainder of a by b: scaled by lc(b)**(delta+1), every step is integral
+        lc = b[-1] ** (delta + 1)
+        qr = _int_divmod(b, [c * lc for c in a])
+        if qr is None:
+            raise ArithmeticError("pseudo-remainder is not integral; need integer lists")
+        rem = qr[1]
         while rem and rem[-1] == 0:
             rem.pop()
         if not rem:
@@ -401,11 +401,7 @@ def _subresultant_gcd(a, b):
 
 
 def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Primitive positive-leading gcd over the integers."""
-    if a.is_zero:
-        return QPolynomial(b._int_primitive()[1])
-    if b.is_zero:
-        return QPolynomial(a._int_primitive()[1])
+    """Primitive positive-leading gcd over the integers of two nonzero polynomials."""
     return QPolynomial(_subresultant_gcd(a._int_primitive()[1], b._int_primitive()[1]))
 
 
@@ -424,12 +420,9 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
     if v:
         num = num.shifted(-v)
         den = den.shifted(-v)
-    if den.degree == 0:
-        c = den.coeffs[0]
-        return (num if c == 1 else num.scale(_invc(c))), _QP_ONE
     if nv - v == num.degree or dv - v == den.degree:
-        # one side is c q^p; with the common power of q stripped, the other
-        # side is constant or has a nonzero constant term, so they are coprime
+        # one side is c q^p: a unit when p = 0, and otherwise, with the common
+        # power of q stripped, the other side is not divisible by q; coprime
         return _monic_pair(num, den)
     q = num.exact_div(den)
     if q is not None:
@@ -472,10 +465,7 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, c) -> "Scalar":
-        c = _norm(Fraction(c))
-        if c == 0:
-            return ZERO
-        return cls._make(QPolynomial.constant(c), _QP_ONE)
+        return cls(Fraction(c))
 
     @classmethod
     def q_power(cls, j: int) -> "Scalar":
@@ -746,6 +736,8 @@ def m_q(n: int) -> Scalar:
     """[n]_q [n-2]_q [n-4]_q ... over strictly positive factors; 1 for n <= 0."""
     if n <= 0:
         return ONE
+    for j in range(2 - n % 2, n - 1, 2):  # fill the cache upward, so no call recurses deeply
+        m_q(j)
     return q_integer(n) * m_q(n - 2)
 
 

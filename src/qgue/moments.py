@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List
 
-from .exactq import ONE, ZERO, Scalar, evaluate_at, m_q, q_binomial, q_factorial
+from .exactq import ONE, ZERO, QPolynomial, Scalar, evaluate_at, m_q, q_binomial, q_factorial
 from .qxpoly import XPoly, functional_L, hermite
 from .symschur import (
     MonomialMap,
@@ -78,10 +78,11 @@ class DegenerateDenominator(ArithmeticError):
     """A printed closed form divides by zero for these parameters."""
 
 
-@lru_cache(maxsize=None)
 def gaussian_moment(n: int) -> Scalar:
-    """L(x**n), computed from the inverse Gaussian operator."""
-    return functional_L(XPoly.x_power(n))
+    """L(x**n): zero for odd n and M_q(n-1) for even n (see `functional_L`)."""
+    if n < 0:
+        raise ValueError("gaussian_moment needs n >= 0")
+    return ZERO if n % 2 else m_q(n - 1)
 
 
 def hermite_norm(j: int) -> Scalar:
@@ -317,25 +318,16 @@ def pairing_genus_counts(m: int) -> Dict[int, int]:
     return counts
 
 
-def _interpolate(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
-    """Coefficients (ascending) of the unique polynomial through the points."""
-    coeffs = [Fraction(0)] * len(xs)
+def _interpolate(xs: List[int], ys: List[Fraction]) -> QPolynomial:
+    """The unique polynomial through the points (xs[i], ys[i]), by Lagrange's formula."""
+    total = QPolynomial.zero()
     for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
+        basis, denom = QPolynomial.one(), 1
+        for xj in xs[:i] + xs[i + 1 :]:
+            basis = basis * QPolynomial((-xj, 1))
             denom *= xi - xj
-        w = ys[i] / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * w
-    return coeffs
+        total = total + basis.scale(ys[i] / denom)
+    return total
 
 
 def genus_table(max_m: int) -> List[GenusRow]:
@@ -351,9 +343,8 @@ def genus_table(max_m: int) -> List[GenusRow]:
         ys = [Fraction(0)]
         for N in range(1, m + 2):
             ys.append(evaluate_at(integrate_power_sum(m, N), 1))
-        coeffs = _interpolate(xs, ys)
         table: Dict[int, int] = {}
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(_interpolate(xs, ys).coeffs):
             if c == 0:
                 continue
             offset = (m + 1) - k

@@ -8,9 +8,8 @@ The two operator series and their images of x**n:
 
 They are mutually inverse, which is what makes coefficient extraction in
 the H-basis (and the moment functional L) computable.  L is the constant
-term of the inverse image, and only that term is computed: L(p) is the sum
-of p_{2k} mu_k over the cached even moments mu_k, the constant terms of the
-inverse images of x**(2k).
+term of the inverse image, and only that term is computed: it is the sum
+of p_{2k} M_q(2k-1) over the even coefficients of p (see `functional_L`).
 """
 
 from __future__ import annotations
@@ -278,38 +277,19 @@ def truncated_in_shadow_basis(N: int, ell: int, method: str = "direct") -> Dict[
     raise ValueError("method must be 'direct', 'closed' or 'printed'")
 
 
-@lru_cache(maxsize=None)
-def _even_moment(k: int) -> Scalar:
-    """mu_k, the constant term of the inverse operator's image of x**(2k).
-
-    Write T = D_q^2/(1+q), so T x**n = _drop2_factor(n-2) x**(n-2), and the
-    inverse operator is sum_j c_j T**j with c_j = 1/[j]!_{q^2}.  T**j lowers
-    the degree by 2j, so only j = k sends x**(2k) to x**0, and
-
-        mu_k = c_k * prod_{i<k} _drop2_factor(2i).
-
-    Since c_k / c_{k-1} = 1/[k]_{q^2}, the series telescopes to
-    mu_k = mu_{k-1} * _drop2_factor(2k-2) / [k]_{q^2}, with mu_0 = 1: one
-    small division per step in place of a whole-XPoly scale by 1/[k]!_{q^2}.
-    """
-    if k == 0:
-        return ONE
-    for j in range(1, k):  # fill the cache upward, so no call recurses deeply
-        _even_moment(j)
-    return _even_moment(k - 1) * (_drop2_factor(2 * k - 2) / q_integer(k, squared=True))
-
-
 def functional_L(p: XPoly) -> Scalar:
     """The formal q-Gaussian expectation: constant term of the inverse operator image.
 
-    Only that term is computed.  By linearity it is sum_k p_{2k} mu_k, where
-    mu_k (`_even_moment`) is the constant term of the image of x**(2k); odd
-    powers of x never reach x**0.
+    With T = D_q^2/(1+q), T x**n = [n]_q [n-1]_q / [2]_q x**(n-2), and the
+    inverse operator is sum_j T**j / [j]!_{q^2}.  T**j lowers the degree by
+    2j, so odd powers of x never reach x**0 and only j = k sends x**(2k)
+    there, to prod_{i=1..k} [2i]_q [2i-1]_q / ([2]_q [i]_{q^2}) = M_q(2k-1),
+    since [2i]_q = [2]_q [i]_{q^2}.  By linearity L(p) = sum_k p_{2k} M_q(2k-1).
     """
     total = ZERO
     for k, c in enumerate(p.coeffs[::2]):
         if not c.is_zero:
-            total = total + c * _even_moment(k)
+            total = total + c * m_q(2 * k - 1)
     return total
 
 

@@ -359,17 +359,19 @@ def verify_suite(
     max_vars: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> List[SuiteResult]:
-    """Run the named identity suites and return per-suite reports.
+    """Run each named identity suite once, in first-seen order; return per-suite reports.
 
     Bounds default per suite; passing a bound overrides it for every suite
     that uses it.  A bound above a suite's cap, or a grid whose costliest
     oracle point is outside the oracle guardrails, raises SizeError before
-    any point is evaluated, and a requested suite whose grid has no points
-    raises ValueError before any suite is run to completion.
+    any point is evaluated.  No suite at all, or a requested suite whose grid
+    has no points, raises ValueError before any suite is run to completion.
     """
     if isinstance(suites, str):
         suites = (suites,)
-    names = list(SUITE_NAMES) if "all" in suites else list(suites)
+    names = list(SUITE_NAMES) if "all" in suites else list(dict.fromkeys(suites))
+    if not names:
+        raise ValueError(f"no suite requested; choose from {SUITE_NAMES}")
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -2,20 +2,36 @@
 
 Nothing here reuses the library's determinant or operator routes: Schur
 polynomials come from tableau enumeration, multivariate determinants from
-explicit permutation expansion, map counts from first principles, and
-polynomial gcds from Euclid's algorithm over Q.  Multivariate products work
-on exponent tuples, the representation the library packs away.
+explicit permutation expansion, map counts from first principles,
+polynomial gcds from Euclid's algorithm over Q, and Gaussian moments from
+the operator series telescoped one degree at a time.  Multivariate products
+work on exponent tuples, the representation the library packs away.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm, prod
 
-from qgue import ONE, MonomialMap, XPoly
+from qgue import ONE, MonomialMap, XPoly, q_integer
 
 
 def double_factorial(n: int) -> int:
     return prod(range(n, 0, -2)) if n > 0 else 1
+
+
+def telescoped_even_moments(k_max):
+    """[L(x**(2k)) for k = 0..k_max], telescoped from the inverse Gaussian operator.
+
+    With T = D_q^2/(1+q), T x**n = [n]_q [n-1]_q / [2]_q x**(n-2), and the
+    inverse operator is sum_j T**j / [j]!_{q^2}.  Only j = k sends x**(2k) to
+    x**0, and consecutive coefficients differ by the factor 1/[k]_{q^2}, so
+    mu_k = mu_{k-1} [2k]_q [2k-1]_q / ([2]_q [k]_{q^2}) with mu_0 = 1.
+    """
+    mu = [ONE]
+    for k in range(1, k_max + 1):
+        step = q_integer(2 * k) * q_integer(2 * k - 1) / q_integer(2)
+        mu.append(mu[-1] * step / q_integer(k, squared=True))
+    return mu
 
 
 def ssyt_schur(parts, n_vars):

@@ -25,6 +25,7 @@ from qgue import exactq
 from qgue.exactq import (
     _inflate,
     _int_divides,
+    _int_divmod,
     _mul_int,
     _poly_gcd,
     _primitive,
@@ -250,6 +251,34 @@ def test_subresultant_gcd_matches_euclid_over_q(kind, g, u, v, k):
         assert got == [1]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(("planted", "unit leading", "any")),
+    int_poly,
+    st.lists(st.integers(-20, 20), max_size=6),
+    int_poly,
+)
+def test_int_divmod_is_division_with_remainder(kind, g, u, r):
+    # planted: a = u g + r with deg r < deg g, so the quotient u is integral;
+    # otherwise a is any list, trailing zeros included
+    r = r[: len(g) - 1]
+    if kind == "unit leading":
+        g = g[:-1] + [1 if g[-1] > 0 else -1]
+    if kind == "planted":
+        a = list((QPolynomial(u) * QPolynomial(g) + QPolynomial(r)).coeffs)
+    else:
+        a = u + r
+    got = _int_divmod(g, a)
+    if kind == "planted" or abs(g[-1]) == 1:
+        assert got is not None
+    if got is not None:
+        quot, rem = got
+        assert len(rem) == len(g) - 1
+        assert QPolynomial(quot) * QPolynomial(g) + QPolynomial(rem) == QPolynomial(a)
+        if kind == "planted":
+            assert (QPolynomial(quot), QPolynomial(rem)) == (QPolynomial(u), QPolynomial(r))
+
+
 rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 rat_poly = st.lists(rat, min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
 
@@ -294,10 +323,19 @@ def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(int_poly.filter(lambda c: len(c) > 1), st.integers(0, 6), rat.filter(bool))
+@given(
+    st.one_of(
+        int_poly.filter(lambda c: len(c) > 1),
+        st.sampled_from([[1], [-1], [3], [-3]]),
+        rat.filter(bool).map(lambda c: [c]),
+    ),
+    st.integers(0, 6),
+    rat.filter(bool),
+)
 def test_monomial_side_matches_gcd_route(den, p, c):
-    # Scalar takes the coprime shortcut when one side is c q^p; the reference
-    # divides both sides by their gcd over Z and makes the denominator monic
+    # Scalar takes the coprime shortcut when one side is c q^p, a constant
+    # included; the reference divides both sides by their gcd over Z and
+    # makes the denominator monic
     mono = QPolynomial.q_power(p).scale(c)
     den = QPolynomial(den)
     for num, d in ((mono, den), (den, mono)):

@@ -41,7 +41,7 @@ from qgue import (
     theorem5_rhs,
 )
 from qgue import moments, qxpoly
-from oracles import double_factorial, family_alternant
+from oracles import double_factorial, family_alternant, telescoped_even_moments
 
 P = Partition
 
@@ -93,9 +93,13 @@ def test_level_density_moment():
 
 
 def test_gaussian_moments_match_closed_form():
+    # gaussian_moment reads m_q, so the reference is the telescoped operator series
+    mu = telescoped_even_moments(30)
     for k in range(31):
-        assert gaussian_moment(2 * k) == m_q(2 * k - 1)
+        assert gaussian_moment(2 * k) == mu[k] == m_q(2 * k - 1)
         assert gaussian_moment(2 * k + 1) == ZERO
+    with pytest.raises(ValueError):
+        gaussian_moment(-2)
 
 
 def test_moments_never_build_the_whole_inverse_image():
@@ -109,7 +113,7 @@ def test_moments_never_build_the_whole_inverse_image():
     with mock.patch.object(qxpoly, "gaussian_op", side_effect=AssertionError("gaussian_op")):
         assert hermite_squared_moment(2, 6) == want
         assert hermite_norm(5) == Scalar.q_power(10) * q_factorial(5)
-        assert gaussian_moment(12) == m_q(11)
+        assert gaussian_moment(12) == telescoped_even_moments(6)[6]
 
 
 def test_hermite_squared_moment():

@@ -30,6 +30,8 @@ from qgue import (
     truncated_shadow,
 )
 
+from oracles import telescoped_even_moments
+
 x = XPoly.x_power
 
 
@@ -116,6 +118,19 @@ def test_hermite_cold_build_keeps_the_stack_shallow():
     assert h == hermite_closed(30)
 
 
+def test_cold_moment_keeps_the_stack_shallow():
+    # L(x^60) = M_q(59) has 30 factors; a cold m_q that recursed once per
+    # factor would overflow 25 frames of headroom
+    m_q.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        got = functional_L(x(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == telescoped_even_moments(30)[30]
+
+
 def test_derivative_lowers_hermite_and_shadow():
     for n in range(1, 13):
         assert q_derivative(hermite(n)) == hermite(n - 1).scale(q_integer(n))
@@ -182,9 +197,11 @@ def test_functional_L():
     assert functional_L(XPoly.one()) == ONE
     assert functional_L(x(4)) == q_integer(3)
     assert functional_L(hermite(2) * hermite(2)) == Scalar.q_power(1) * q_factorial(2)
-    for n in range(13):
-        expected = m_q(n - 1) if n % 2 == 0 else ZERO
+    # functional_L reads m_q, so the reference is the whole operator series
+    for n in range(32):
+        expected = gaussian_op(x(n), "inverse").constant_term
         assert functional_L(x(n)) == expected
+        assert expected == (m_q(n - 1) if n % 2 == 0 else ZERO)
 
 
 small = st.integers(-4, 4)

@@ -1,9 +1,30 @@
 """Source-level checks on the qgue package."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import qgue
+
+# Removing a name from qgue is a behaviour change: edit this list on purpose.
+PUBLIC_NAMES = [
+    "BigRat", "DegenerateDenominator", "GenusRow", "MonomialMap", "ONE", "Partition",
+    "PointResult", "PoleError", "QPolynomial", "SUITE_NAMES", "Scalar", "SchurVector",
+    "ShapeError", "SizeError", "SuiteResult", "XPoly", "ZERO", "apply_M0", "apply_M2",
+    "binomial_family", "det", "evaluate_at", "family_expand", "functional_L",
+    "gaussian_moment", "gaussian_op", "generalized_binomial", "genus_table",
+    "has_discrepancies", "hermite", "hermite_expand", "hermite_family", "hermite_norm",
+    "hermite_squared_moment", "hook_decomposition", "hook_moment_closed_form",
+    "hook_partition", "integrate_power_sum", "integrate_schur", "integrate_symmetric",
+    "level_density_moment", "m_q", "monomial_family", "normalization", "p2m_closed_form",
+    "pairing_genus_counts", "partitions", "power_sum_monomials", "power_sum_vector",
+    "q_binomial", "q_derivative", "q_factorial", "q_integer", "qhz_lhs", "qhz_rhs",
+    "render_json", "report_to_json", "schur_monomials", "series_coefficient",
+    "shadow_family", "shadow_hermite", "sigma_at_zero", "sigma_closed_form",
+    "summary_table", "theorem5_lhs", "theorem5_rhs", "truncated_in_shadow_basis",
+    "truncated_shadow", "vandermonde", "verify_suite",
+]
 
 
 def _trees():
@@ -41,3 +62,24 @@ def test_no_benchmark_imports():
         if name.split(".")[0] == "perfbench"
     ]
     assert not found, f"imports of perfbench in src/qgue: {found}"
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(qgue).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == sorted(PUBLIC_NAMES)
+
+
+def test_every_all_entry_is_defined():
+    missing = []
+    for path in sorted(Path(qgue.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"qgue.{path.stem}" if path.stem != "__init__" else "qgue")
+        missing += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not missing, f"__all__ entries that are not defined: {missing}"

@@ -21,6 +21,19 @@ def test_unknown_suite_rejected():
         verify_suite(["theorem9"])
 
 
+def test_empty_suite_list_rejected():
+    # an empty report would pass has_discrepancies as clean
+    with pytest.raises(ValueError):
+        verify_suite([])
+
+
+def test_repeated_suite_runs_once():
+    bounds = {"max_weight": 2, "max_n": 2}
+    twice = verify_suite(["qhz", "duality", "qhz"], **bounds)
+    assert [suite.identity for suite in twice] == ["qhz", "duality"]
+    assert render_json(twice) == render_json(verify_suite(["qhz", "duality"], **bounds))
+
+
 def test_every_point_is_classified():
     results = verify_suite(["theorem4", "sigma", "qhz"], max_weight=4, max_vars=2, max_n=2)
     for suite in results:
