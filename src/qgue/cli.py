@@ -2,13 +2,14 @@
 
 Exit codes: 0 success / all identities equal, 1 verification found
 discrepancies (or a genus row failed its cross-check), 2 usage errors,
-guardrail violations, and poles.
+guardrail violations, poles, and output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -167,8 +168,12 @@ def cmd_verify(args) -> int:
     )
     text = render_json(results)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -266,9 +271,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (SizeError, ShapeError, PoleError, DegenerateDenominator, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # the exit-time flush would fail again: send what is left to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -23,10 +23,10 @@ This is the ground field for the whole package.  Three layers:
     gcd.  Otherwise a pair reduces by one exact-division attempt num/den,
     then by the gcd.
 
-Values never change after construction and are safe to share freely.  The
-one late write, the memo `QPolynomial._prim` of the primitive integer part,
-is safe too: racing threads may each write it, but every writer computes the
-same value from the immutable coefficients, and nothing mutates it after.
+`exact_div` is Gauss's lemma alone: it divides the primitive integer parts
+over Z, whatever the operands.  LaTeX folding into q-integers [n]_q tests the
+value at q = 2, where [n]_q is 2**n - 1, before each trial division.  Values
+are written once, at construction, and are safe to share freely.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ def _norm(c: Coeff) -> Coeff:
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
-
-
-def _invc(b: Coeff) -> Coeff:
-    if b == 1:
-        return 1
-    if b == -1:
-        return -1
-    return _norm(Fraction(1) / Fraction(b))
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +180,13 @@ def _int_divides(g, a):
 class QPolynomial:
     """Dense polynomial in q with exact rational coefficients."""
 
-    __slots__ = ("coeffs", "_prim")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
         cs = [_norm(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._prim = None
 
     # -- constructors -------------------------------------------------------
 
@@ -204,7 +195,6 @@ class QPolynomial:
         """Trusted constructor: coeffs already normalized and trimmed."""
         p = cls.__new__(cls)
         p.coeffs = coeffs
-        p._prim = None
         return p
 
     @classmethod
@@ -329,19 +319,8 @@ class QPolynomial:
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return _QP_ZERO
-        if self.degree < other.degree:
-            return None
-        if other.degree == 0:
-            return self.scale(_invc(other.coeffs[0]))
         sa, pa = self._int_primitive()
         sb, pb = other._int_primitive()
-        # integer-image filter: if the divisor's value at 2 does not divide the
-        # dividend's, the division cannot be exact
-        vb = _eval_int(pb, 2)
-        if vb != 0 and _eval_int(pa, 2) % vb != 0:
-            return None
         quot = _int_divides(pb, pa)
         if quot is None:
             return None
@@ -349,12 +328,10 @@ class QPolynomial:
 
     def _int_primitive(self):
         """Return (scale, primitive int coefficient list) with self = scale * primitive."""
-        if self._prim is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs if type(c) is Fraction))
-            ints = [int(c * den) for c in self.coeffs]
-            prim = _primitive(ints)
-            self._prim = (Fraction(ints[-1], den * prim[-1]) if ints else Fraction(0), prim)
-        return self._prim
+        den = math.lcm(*(c.denominator for c in self.coeffs if type(c) is Fraction))
+        ints = [int(c * den) for c in self.coeffs]
+        prim = _primitive(ints)
+        return (Fraction(ints[-1], den * prim[-1]) if ints else Fraction(0)), prim
 
     # -- rendering -----------------------------------------------------------
 
@@ -439,7 +416,7 @@ def _monic_pair(num: QPolynomial, den: QPolynomial):
     lc = den.leading
     if lc == 1:
         return num, den
-    inv = _invc(lc)
+    inv = _norm(1 / Fraction(lc))
     return num.scale(inv), den.scale(inv)
 
 
@@ -548,8 +525,6 @@ class Scalar:
             other = Scalar(other)
         if self.num.is_zero or other.num.is_zero:
             return ZERO
-        if self.den.is_one and other.den.is_one:
-            return Scalar._make(self.num * other.num, _QP_ONE)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -657,8 +632,8 @@ def _fold_q_integers(p: QPolynomial):
     factors: dict = {}
     n = work.degree + 1
     while work.degree > 0 and n >= 2:
-        qi = QPolynomial._raw((1,) * n)
-        quot = work.exact_div(qi)
+        # most trials fail, and [n]_q is 2**n - 1 at q = 2: test that image first
+        quot = work.exact_div(QPolynomial._raw((1,) * n)) if work(2) % (2**n - 1) == 0 else None
         if quot is not None:
             factors[n] = factors.get(n, 0) + 1
             work = quot
@@ -716,6 +691,8 @@ def q_factorial(n: int, squared: bool = False) -> Scalar:
         raise ValueError("q_factorial needs n >= 0")
     if n == 0:
         return ONE
+    for j in range(1, n):  # fill the cache upward, so no call recurses deeply
+        q_factorial(j, squared)
     return q_factorial(n - 1, squared) * q_integer(n, squared)
 
 

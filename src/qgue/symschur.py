@@ -109,17 +109,7 @@ class Partition:
 
     def subdiagrams(self) -> Iterator["Partition"]:
         """All partitions whose Young diagram fits inside this one."""
-
-        def rec(i: int, cap: int, prefix: List[int]) -> Iterator[Tuple[int, ...]]:
-            yield tuple(prefix)
-            if i < len(self.parts):
-                for v in range(1, min(cap, self.parts[i]) + 1):
-                    prefix.append(v)
-                    yield from rec(i + 1, v, prefix)
-                    prefix.pop()
-
-        for parts in rec(0, self.parts[0] if self.parts else 0, []):
-            yield Partition(parts)
+        return filter(self.contains, partitions(self.weight, self.length))
 
     def __iter__(self):
         return iter(self.parts)

@@ -1,7 +1,11 @@
 """The qgue command-line tool."""
 
+import errno
+import io
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -11,10 +15,10 @@ import pytest
 from qgue import Scalar, verify
 from qgue.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # stdout and exit code of cold `qgue` processes, recorded for the benchmark
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "queries.json").read_text()
-)
+REFERENCE = json.loads((ROOT / "perfbench" / "reference" / "queries.json").read_text())
 
 
 def _pinned(query: str) -> bool:
@@ -317,3 +321,37 @@ def test_verify_report_is_replaced_only_by_a_run(capsys, tmp_path):
 def test_output_matches_benchmark_reference(capsys, query):
     code, out, _ = run(capsys, *query.split())
     assert (code, out) == (REFERENCE[query]["exit_code"], REFERENCE[query]["stdout"])
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stdout_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["moment", "--schur", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["moment", "--schur", "2"], "/dev/full"),
+        (["verify", "--suite", "qhz", "--max-n", "1", "--format", "json"], "/dev/full"),
+        (["verify", "--suite", "qhz", "--max-n", "1", "--report", "/dev/full"], os.devnull),
+    ],
+)
+def test_unwritable_output_is_exit_2_in_a_process(argv, stdout):
+    # the exit-time flush of stdout must not print a second error
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with open(stdout, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgue.cli", *argv],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

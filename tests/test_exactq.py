@@ -1,6 +1,9 @@
 """Field arithmetic, q-combinatorics, and canonical-form contracts."""
 
+import inspect
+import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -62,6 +65,29 @@ def test_q_binomial_always_polynomial():
             assert q_binomial(n, k).is_polynomial
 
 
+def test_cold_q_factorial_keeps_the_stack_shallow():
+    # 60 factors: a cold q_factorial that recursed once per factor would
+    # overflow 25 frames of headroom, and so would the calls built on it
+    got = []
+    calls = ((q_factorial, (60,)), (q_binomial, (60, 30)), (series_coefficient, (60, "e")))
+    for func, args in calls:
+        q_factorial.cache_clear()
+        q_binomial.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            got.append(func(*args))
+        finally:
+            sys.setrecursionlimit(limit)
+    product = QPolynomial.one()
+    for k in range(1, 61):
+        product = product * q_integer(k).num
+    factorial, binomial, e_60 = got
+    assert factorial == Scalar(product)
+    assert binomial.is_polynomial and evaluate_at(binomial, 1) == math.comb(60, 30)
+    assert e_60 * factorial == ONE
+
+
 def test_m_q_examples():
     assert m_q(-1) == ONE
     assert m_q(0) == ONE
@@ -91,14 +117,15 @@ def test_evaluate_at():
     assert evaluate_at(Scalar(p * root, s * root), half) == p(half) / s(half)
 
 
-def _random_scalar(rng):
-    def poly():
-        return QPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
+def _random_poly(rng):
+    return QPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
 
-    den = poly()
+
+def _random_scalar(rng):
+    den = _random_poly(rng)
     while den.is_zero:
-        den = poly()
-    return Scalar(poly(), den)
+        den = _random_poly(rng)
+    return Scalar(_random_poly(rng), den)
 
 
 def test_field_axioms_on_random_scalars():
@@ -115,6 +142,11 @@ def test_field_axioms_on_random_scalars():
         if not a.is_zero:
             assert a * a.inverse() == ONE
             assert (a ** -2) * (a ** 2) == ONE
+        # a product of polynomials stays a polynomial with int coefficients
+        u, v = _random_poly(rng), _random_poly(rng)
+        prod = Scalar(u) * Scalar(v)
+        assert prod.den.coeffs == (1,) and prod.num == u * v
+        assert all(type(c) is int for c in prod.num.coeffs)
 
 
 def test_reduced_canonical_form():
@@ -202,6 +234,16 @@ def test_latex_rendering():
     )
 
 
+def test_latex_folding_tests_q_equals_2_first():
+    # 1 + 2q + ... + 30q^29 is no product of q-integers; the image at q = 2
+    # rules out every trial division by [n]_q but one
+    p = QPolynomial(range(1, 31))
+    with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
+        got = Scalar(p).latex()
+    assert divmod_.call_count <= 1
+    assert got == "1+2q+" + "+".join("%dq^{%d}" % (k + 1, k) for k in range(2, 30))
+
+
 def test_hash_and_equality():
     a = q_integer(4) / q_integer(2)
     b = Scalar(QPolynomial([1, 0, 1]))
@@ -284,14 +326,30 @@ rat_poly = st.lists(rat, min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(rat_poly, rat_poly.filter(lambda c: len(c) > 1 and abs(c[-1]) != 1), st.data())
+@given(
+    rat_poly,
+    st.one_of(
+        rat_poly.filter(lambda c: len(c) > 1 and abs(c[-1]) != 1),
+        st.sampled_from([[1], [-1], [3], [-3]]),
+        rat.filter(bool).map(lambda c: [c]),
+    ),
+    st.data(),
+)
 def test_exact_div_on_rational_coefficients(a, b, data):
     # exact division runs on the primitive integer parts, so the divisor's
-    # content and non-unit leading coefficient must come back out exactly
+    # content and non-unit leading coefficient must come back out exactly;
+    # the same path serves constant divisors, zero and lower-degree dividends
     a, b = QPolynomial(a), QPolynomial(b)
-    assert (a * b).exact_div(b) == a
-    r = data.draw(st.lists(rat, min_size=1, max_size=b.degree).filter(any))
-    assert (a * b + QPolynomial(r)).exact_div(b) is None
+    quot = (a * b).exact_div(b)
+    assert quot == a
+    assert [type(c) for c in quot.coeffs] == [type(c) for c in a.coeffs]
+    assert QPolynomial.zero().exact_div(b) == QPolynomial.zero()
+    with pytest.raises(ZeroDivisionError):
+        a.exact_div(QPolynomial.zero())
+    if b.degree > 0:
+        r = QPolynomial(data.draw(st.lists(rat, min_size=1, max_size=b.degree).filter(any)))
+        assert (a * b + r).exact_div(b) is None
+        assert r.exact_div(b) is None
 
 
 def _plain(kernel, *args):

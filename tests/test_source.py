@@ -83,3 +83,22 @@ def test_every_all_entry_is_defined():
             if not hasattr(module, name)
         ]
     assert not missing, f"__all__ entries that are not defined: {missing}"
+
+
+def test_values_are_written_only_in_init():
+    # values are shared freely, across threads too, so no method but
+    # __init__ may assign to an attribute of self
+    found = [
+        f"{path.name}:{node.lineno} {cls.name}.{method.name} sets self.{node.attr}"
+        for path, tree in _trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert not found, f"late writes to self in src/qgue: {found}"
