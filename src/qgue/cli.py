@@ -153,12 +153,12 @@ def _emit(value, args, query) -> int:
 
 def cmd_verify(args) -> int:
     suites = args.suite or ["all"]
-    # check the report path before any suite runs, so a bad path fails fast
+    # check the report path before any suite runs, so a bad path fails fast;
+    # the check creates nothing, so a refused request leaves no file behind
     if args.report:
-        try:
-            open(args.report, "a").close()
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
+        folder = os.path.dirname(args.report) or "."
+        if os.path.isdir(args.report) or not os.access(folder, os.W_OK):
+            print(f"error: cannot write report: no writable file at {args.report}", file=sys.stderr)
             return 2
     results = verify_suite(
         suites,

@@ -6,7 +6,9 @@ This is the ground field for the whole package.  Three layers:
     aliased `BigRat`).  Integer-valued coefficients are stored as plain
     `int` so the polynomial kernels mostly run on machine integers.
   * `QPolynomial`: dense univariate polynomial in q, trailing zeros
-    stripped; the zero polynomial is the empty coefficient sequence.
+    stripped; the zero polynomial is the empty coefficient sequence.  Its
+    ring-generic operations live in the base `_Dense`, shared with `qxpoly.XPoly`;
+    each keeps its own product, and `_power` is the one square-and-multiply loop.
     Multiplication and evaluation run the coefficient-list kernels below
     directly.  One division loop, `_int_divmod`, serves both exact
     division, on the primitive integer parts, and the pseudo-remainders of
@@ -173,49 +175,56 @@ def _int_divides(g, a):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in q
+# dense univariate polynomials, and polynomials in q
 # ---------------------------------------------------------------------------
 
 
-class QPolynomial:
-    """Dense polynomial in q with exact rational coefficients."""
+def _power(x, n: int, one):
+    """x**n for n >= 0 by binary square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+class _Dense:
+    """Dense univariate polynomial: ascending coefficients, falsy trailing zeros trimmed.
+
+    A subclass defines `__mul__` and names its ring's zero and one in `_zero` and `_one`.
+    """
 
     __slots__ = ("coeffs",)
+    _zero = 0
+    _one = 1
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [_norm(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def _raw(cls, coeffs: tuple) -> "QPolynomial":
+    def _raw(cls, coeffs: tuple):
         """Trusted constructor: coeffs already normalized and trimmed."""
         p = cls.__new__(cls)
         p.coeffs = coeffs
         return p
 
     @classmethod
-    def zero(cls) -> "QPolynomial":
-        return _QP_ZERO
+    def zero(cls):
+        return cls._raw(())
 
     @classmethod
-    def one(cls) -> "QPolynomial":
-        return _QP_ONE
+    def one(cls):
+        return cls._raw((cls._one,))
 
     @classmethod
-    def constant(cls, c: Coeff) -> "QPolynomial":
+    def constant(cls, c):
         return cls((c,))
-
-    @classmethod
-    def q_power(cls, j: int) -> "QPolynomial":
-        if j < 0:
-            raise ValueError("q_power needs a nonnegative exponent")
-        return cls._raw((0,) * j + (1,))
-
-    # -- structure ----------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -227,14 +236,87 @@ class QPolynomial:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
-    def leading(self) -> Coeff:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def coefficient(self, k: int):
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return self._zero
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(tuple(-c for c in self.coeffs))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        return _power(self, n, self.one())
+
+    def scale(self, c):
+        if not c:
+            return self.zero()
+        if c == self._one:
+            return self
+        return type(self)(x * c for x in self.coeffs)
+
+    def shifted(self, j: int):
+        """Multiply by the variable**j (j >= 0) or strip j known-zero low coefficients (j < 0)."""
+        if j >= 0:
+            if not self.coeffs:
+                return self
+            return self._raw((self._zero,) * j + self.coeffs)
+        if any(self.coeffs[:-j]):
+            raise ValueError(f"shifted({j}) would drop nonzero coefficients")
+        return self._raw(self.coeffs[-j:])
+
+
+class QPolynomial(_Dense):
+    """Dense polynomial in q with exact rational coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[Coeff] = ()):
+        cs = [_norm(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def q_power(cls, j: int) -> "QPolynomial":
+        if j < 0:
+            raise ValueError("q_power needs a nonnegative exponent")
+        return cls._raw((0,) * j + (1,))
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def is_one(self) -> bool:
+        return self.coeffs == (1,)
 
     @property
     def valuation(self) -> int:
@@ -244,11 +326,6 @@ class QPolynomial:
                 return i
         return 0
 
-    def coefficient(self, k: int) -> Coeff:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
@@ -256,28 +333,9 @@ class QPolynomial:
             return self.coeffs == ((_norm(other),) if other != 0 else ())
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({self})"
+    __hash__ = _Dense.__hash__
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial._raw(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -288,23 +346,6 @@ class QPolynomial:
         if len(b) == 1:
             return self.scale(b[0])
         return QPolynomial(_mul_int(a, b))
-
-    def scale(self, c: Coeff) -> "QPolynomial":
-        if c == 0:
-            return _QP_ZERO
-        if c == 1:
-            return self
-        return QPolynomial(x * c for x in self.coeffs)
-
-    def shifted(self, j: int) -> "QPolynomial":
-        """Multiply by q**j (j >= 0) or strip j known-zero low coefficients (j < 0)."""
-        if j >= 0:
-            if self.is_zero:
-                return self
-            return QPolynomial._raw((0,) * j + self.coeffs)
-        if any(self.coeffs[:-j]):
-            raise ValueError(f"shifted({j}) would drop nonzero coefficients")
-        return QPolynomial._raw(self.coeffs[-j:])
 
     def __call__(self, x: Coeff) -> Coeff:
         return _eval_int(self.coeffs, x)
@@ -540,16 +581,7 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.inverse(), -n, ONE) if n < 0 else _power(self, n, ONE)
 
     # -- rendering -----------------------------------------------------------
 

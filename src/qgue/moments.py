@@ -133,13 +133,18 @@ def integrate_power_sum(m: int, N: int, method: str = "fast") -> Scalar:
 
 
 def level_density_moment(p: XPoly, N: int) -> Scalar:
-    """Integral of p(x_1) + ... + p(x_N), as the sum of L(p H_j^2)/L(H_j^2)."""
+    """Integral of p(x_1) + ... + p(x_N), as the sum of L(p H_j^2)/L(H_j^2) over j < N.
+
+    H_j has the parity of j, so H_j^2 is even and L(x^(2k+1) H_j^2) = 0: only the even
+    coefficients p_{2k} contribute, each times hermite_squared_moment(k, j) = L(x^(2k) H_j^2).
+    """
     if N < 1:
         raise ValueError("level_density_moment needs N >= 1")
+    even = [(k, c) for k, c in enumerate(p.coeffs[::2]) if c]
     total = ZERO
     for j in range(N):
-        hj = hermite(j)
-        total = total + functional_L(p * hj * hj) / hermite_norm(j)
+        part = sum((c * hermite_squared_moment(k, j) for k, c in even), ZERO)
+        total = total + part / hermite_norm(j)
     return total
 
 

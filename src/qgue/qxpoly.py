@@ -1,6 +1,9 @@
 """Polynomials in x over Q(q): q-derivative, Gaussian operators, and the
 q-Hermite / shadow-Hermite families.
 
+`XPoly` takes its ring-generic operations from `exactq._Dense`, the base of
+`QPolynomial`, and adds only its Scalar product, x-powers and rendering.
+
 The two operator series and their images of x**n:
 
     forward  = E(-D_q^2/(1+q), q^2)   sends x**n to the q-Hermite H_n
@@ -15,9 +18,9 @@ of p_{2k} M_q(2k-1) over the even coefficients of p (see `functional_L`).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable
+from typing import Dict
 
-from .exactq import ONE, ZERO, Scalar, m_q, q_binomial, q_integer, series_coefficient
+from .exactq import ONE, ZERO, Scalar, _Dense, m_q, q_binomial, q_integer, series_coefficient
 
 __all__ = [
     "XPoly",
@@ -32,83 +35,32 @@ __all__ = [
 ]
 
 
-class XPoly:
+class XPoly(_Dense):
     """Dense polynomial in x with Scalar coefficients; degree -1 marks zero."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "XPoly":
-        return _XP_ZERO
-
-    @classmethod
-    def one(cls) -> "XPoly":
-        return _XP_ONE
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "XPoly":
-        return cls((c,))
+    __slots__ = ()
+    _zero = ZERO
+    _one = ONE
 
     @classmethod
     def x_power(cls, n: int) -> "XPoly":
         if n < 0:
             raise ValueError("x_power needs n >= 0")
-        return cls((ZERO,) * n + (ONE,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls._raw((ZERO,) * n + (ONE,))
 
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one
 
-    def coefficient(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return ZERO
-
     @property
     def constant_term(self) -> Scalar:
         return self.coefficient(0)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, XPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "XPoly") -> "XPoly":
+        # apart from QPolynomial's int-list kernel: a zero Scalar skips its row or column
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return _XP_ZERO
+            return XPoly.zero()
         out = [ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca.is_zero:
@@ -116,31 +68,6 @@ class XPoly:
                     if not cb.is_zero:
                         out[i + j] = out[i + j] + ca * cb
         return XPoly(out)
-
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power of an XPoly")
-        out = _XP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def scale(self, c: Scalar) -> "XPoly":
-        if c.is_zero:
-            return _XP_ZERO
-        if c.is_one:
-            return self
-        return XPoly(tuple(x * c for x in self.coeffs))
-
-    def shifted(self, j: int) -> "XPoly":
-        """Multiply by x**j (j >= 0)."""
-        if self.is_zero:
-            return self
-        return XPoly((ZERO,) * j + self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -162,13 +89,6 @@ class XPoly:
             else:
                 parts.append(sign + term)
         return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPoly({self})"
-
-
-_XP_ZERO = XPoly(())
-_XP_ONE = XPoly((ONE,))
 
 
 def q_derivative(p: XPoly) -> XPoly:

@@ -133,7 +133,9 @@ class Partition:
 
 
 def partitions(max_weight: int, max_length: int) -> Iterator[Partition]:
-    """All partitions of weight <= max_weight and length <= max_length."""
+    """All partitions of weight <= max_weight and length <= max_length; none if one is < 0."""
+    if max_weight < 0 or max_length < 0:
+        return
 
     def rec(remaining: int, cap: int, slots: int, prefix: List[int]) -> Iterator[Tuple[int, ...]]:
         yield tuple(prefix)

@@ -231,11 +231,12 @@ def test_moment_rejects_bad_at_q(at_q):
     [
         ["--suite", "duality", "--max-n", "-5"],
         ["--suite", "theorem4", "--max-weight", "-2"],
+        ["--suite", "theorem3", "--max-weight", "-3", "--max-vars", "2"],
     ],
 )
 def test_verify_empty_grid_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
-    assert code == 2 and out == "" and "empty grid" in err
+    assert code == 2 and out == "" and f"empty grid in suite(s) {argv[1]}" in err
 
 
 @pytest.mark.parametrize(
@@ -310,6 +311,10 @@ def test_verify_report_is_replaced_only_by_a_run(capsys, tmp_path):
     report.write_text("earlier report\n" * 1000)
     code, _, _ = run(capsys, "verify", "--suite", "duality", "--max-n", "41", "--report", str(report))
     assert code == 2 and report.read_text() == "earlier report\n" * 1000
+    # a refused request creates no report where none was
+    new = tmp_path / "new.json"
+    code, _, _ = run(capsys, "verify", "--suite", "duality", "--max-n", "41", "--report", str(new))
+    assert code == 2 and not new.exists()
     code, _, _ = run(capsys, "verify", "--suite", "qhz", "--max-n", "1", "--report", str(report))
     assert code == 0 and json.loads(report.read_text())["summary"]["discrepant"] == 0
     # a path that is not a regular file is written as before

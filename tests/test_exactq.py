@@ -17,6 +17,7 @@ from qgue import (
     PoleError,
     QPolynomial,
     Scalar,
+    XPoly,
     evaluate_at,
     m_q,
     q_binomial,
@@ -412,3 +413,42 @@ def test_duality_makes_no_gcd_calls():
     with mock.patch.object(exactq, "_poly_gcd", side_effect=exactq._poly_gcd) as gcd:
         verify_suite(["duality"], max_n=12)
     assert gcd.call_count == 0
+
+
+def _xpoly(ints):
+    return XPoly(Scalar(c) for c in ints)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-4, 4), max_size=6),
+    st.lists(st.integers(-4, 4), max_size=6),
+    st.sampled_from((0, 1, -3, 2)),
+    st.integers(-4, 4),
+    st.integers(0, 3),
+)
+def test_shared_dense_base_commutes_with_the_scalar_map(a, b, c, j, n):
+    # QPolynomial and XPoly take these operations from one base class; sending
+    # int coefficients to Scalar constants must commute with each of them
+    pa, pb, xa, xb = QPolynomial(a), QPolynomial(b), _xpoly(a), _xpoly(b)
+    assert _xpoly(pa.coeffs) == xa and pa.degree == xa.degree and pa.is_zero == xa.is_zero
+    assert _xpoly((pa + pb).coeffs) == xa + xb
+    assert _xpoly((pa - pb).coeffs) == xa - xb
+    assert _xpoly((-pa).coeffs) == -xa
+    assert _xpoly(pa.scale(c).coeffs) == xa.scale(Scalar(c))
+    assert _xpoly((pa**n).coeffs) == xa**n
+    for k in (-1, len(a), len(a) + 3):
+        assert pa.coefficient(k) == 0 and xa.coefficient(k) is ZERO
+    assert (pa == pb) == (xa == xb)
+    if pa == pb:
+        assert hash(pa) == hash(pb) and hash(xa) == hash(xb)
+    try:
+        shifted = pa.shifted(j)
+    except ValueError:
+        with pytest.raises(ValueError):
+            xa.shifted(j)
+    else:
+        assert _xpoly(shifted.coeffs) == xa.shifted(j)
+    assert pa != xa and not (pa == xa)
+    with pytest.raises(ValueError):
+        xa ** -1

@@ -92,6 +92,16 @@ def test_level_density_moment():
     assert level_density_moment(XPoly.x_power(4), 2) == q_integer(3) * (ONE + q_integer(5))
 
 
+def test_level_density_moment_matches_the_product_formula():
+    # reference: L(p H_j^2) / L(H_j^2) from the full product, odd coefficients included
+    p = XPoly([Scalar.from_fraction(c) for c in (3, -2, 5, 7, 0, Fraction(1, 2), -1)])
+    total = ZERO
+    for n in range(1, 7):
+        hj = hermite(n - 1)
+        total = total + functional_L(p * hj * hj) / hermite_norm(n - 1)
+        assert level_density_moment(p, n) == total
+
+
 def test_gaussian_moments_match_closed_form():
     # gaussian_moment reads m_q, so the reference is the telescoped operator series
     mu = telescoped_even_moments(30)

@@ -102,3 +102,61 @@ def test_values_are_written_only_in_init():
         and node.value.id == "self"
     ]
     assert not found, f"late writes to self in src/qgue: {found}"
+
+
+def _class_names(cls):
+    """Names a class body binds: its methods and its assigned attributes."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_dense_polynomials_share_one_implementation():
+    classes = {
+        node.name: node
+        for _, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    # each subclass names its own zero and one; otherwise only these may be restated
+    shared = _class_names(classes["_Dense"]) - {"__slots__", "_zero", "_one"}
+    overrides = {"QPolynomial": {"__init__", "__eq__", "__hash__"}, "XPoly": set()}
+    for name, allowed in overrides.items():
+        restated = (_class_names(classes[name]) & shared) - allowed
+        assert not restated, f"{name} restates _Dense: {sorted(restated)}"
+    xpoly = _class_names(classes["XPoly"]) - {"__slots__", "_zero", "_one"}
+    allowed = {"x_power", "is_monic", "constant_term", "__mul__", "__str__", "__repr__"}
+    assert xpoly <= allowed
+
+
+def _squares_in_a_loop(func):
+    """Whether a loop in func squares a name: v = v * v or v *= v."""
+    for loop in ast.walk(func):
+        if not isinstance(loop, (ast.While, ast.For)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+                target, value = node.targets[0], node.value
+                operands = (target, value.left, value.right)
+            elif isinstance(node, ast.AugAssign):
+                value, operands = node, (node.target, node.value)
+            else:
+                continue
+            if isinstance(value.op, ast.Mult) and all(isinstance(o, ast.Name) for o in operands):
+                if len({o.id for o in operands}) == 1:
+                    return True
+    return False
+
+
+def test_one_square_and_multiply_loop():
+    found = [
+        f"{path.name}:{func.lineno} {func.name}"
+        for path, tree in _trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and _squares_in_a_loop(func)
+    ]
+    assert [entry.split()[-1] for entry in found] == ["_power"], found

@@ -65,6 +65,10 @@ def test_partitions_generator():
     got = list(partitions(4, 2))
     assert len(got) == len(set(got)) == 9
     assert all(p.weight <= 4 and p.length <= 2 for p in got)
+    # a negative bound admits no partition, not even the empty one
+    assert list(partitions(-3, 2)) == []
+    assert list(partitions(2, -1)) == []
+    assert list(partitions(0, 0)) == [P()]
 
 
 def test_schur_examples():
