@@ -16,9 +16,6 @@ from fractions import Fraction
 from .exactq import PoleError, Scalar, evaluate_at, q_factorial
 from .moments import (
     GENUS_MAX_M,
-    HERMITE_SQ_MAX_DEGREE,
-    MOMENT_MAX_DEGREE,
-    MOMENT_MAX_WEIGHT,
     DegenerateDenominator,
     genus_table,
     hermite_squared_moment,
@@ -36,6 +33,17 @@ from .verify import (
     summary_table,
     verify_suite,
 )
+
+# bound on the x-degree 2(m+s) of a --hermite-sq request; the cold cost grows
+# steeply with it (3.5-3.7 s for m = 0, s = 30 on a 2-vCPU machine, most of it
+# squaring H_30)
+HERMITE_SQ_MAX_DEGREE = 60
+# bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
+# or closed --schur or --power-sum request; the coefficient minor's cost grows
+# with both (slowest inside them: 0.6-0.7 s in a cold process on a 2-vCPU
+# machine, for kappa = 3,2,1,1,1,1,1,1,1 at N = 21 and p_12 at N = 12)
+MOMENT_MAX_DEGREE = 23
+MOMENT_MAX_WEIGHT = 12
 
 CLOSED_FORM_BANNER = (
     "warning: closed-form evaluators are unverified transcriptions of printed "

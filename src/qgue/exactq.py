@@ -333,7 +333,10 @@ class QPolynomial(_Dense):
             return self.coeffs == ((_norm(other),) if other != 0 else ())
         return NotImplemented
 
-    __hash__ = _Dense.__hash__
+    def __hash__(self) -> int:
+        # a constant equals the number it holds, so it hashes like that number
+        cs = self.coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -517,7 +520,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num.coeffs, self.den.coeffs))
+        # a polynomial hashes like its numerator, so a constant hashes like its number
+        return hash(self.num) if self.den.is_one else hash((self.num.coeffs, self.den.coeffs))
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

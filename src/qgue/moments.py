@@ -15,10 +15,9 @@ exactly as printed, known defects included; correctness judgments live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .exactq import ONE, ZERO, QPolynomial, Scalar, evaluate_at, m_q, q_binomial, q_factorial
 from .qxpoly import XPoly, functional_L, hermite
@@ -55,23 +54,9 @@ __all__ = [
     "GenusRow",
     "pairing_genus_counts",
     "genus_table",
-    "GENUS_MAX_M",
-    "HERMITE_SQ_MAX_DEGREE",
-    "MOMENT_MAX_DEGREE",
-    "MOMENT_MAX_WEIGHT",
 ]
 
 GENUS_MAX_M = 6
-# bound on the x-degree 2(m+s) of a hermite_squared_moment request made from
-# the command line; the cold cost grows steeply with it (3.5-3.7 s for m = 0,
-# s = 30 on a 2-vCPU machine, most of it squaring H_30)
-HERMITE_SQ_MAX_DEGREE = 60
-# bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
-# or closed Schur or power-sum request from the command line; the coefficient
-# minor's cost grows with both (slowest inside them: 0.6-0.7 s in a cold process
-# on a 2-vCPU machine, for kappa = 3,2,1,1,1,1,1,1,1 at N = 21 and p_12 at N = 12)
-MOMENT_MAX_DEGREE = 23
-MOMENT_MAX_WEIGHT = 12
 
 
 class DegenerateDenominator(ArithmeticError):
@@ -106,6 +91,8 @@ def _oracle_integral(f: MonomialMap) -> Scalar:
 @lru_cache(maxsize=None)
 def integrate_schur(kappa: Partition, N: int, method: str = "fast") -> Scalar:
     """Normalized integral of the Schur polynomial s_kappa over N variables."""
+    if N < 1:
+        raise ValueError("integrate_schur needs N >= 1")
     if method == "fast":
         return sigma_at_zero(kappa, N)
     if method == "oracle":
@@ -124,6 +111,8 @@ def integrate_symmetric(f: SchurVector) -> Scalar:
 
 def integrate_power_sum(m: int, N: int, method: str = "fast") -> Scalar:
     """Normalized integral of the power sum p_{2m} over N variables."""
+    if N < 1:
+        raise ValueError("integrate_power_sum needs N >= 1")
     if method == "fast":
         return integrate_symmetric(power_sum_vector(m, N))
     if method == "oracle":
@@ -271,8 +260,7 @@ def qhz_rhs(m: int, s: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenusRow:
+class GenusRow(NamedTuple):
     """One-face map counts for 2m-gon gluings: interpolated vs enumerated."""
 
     m: int

@@ -40,7 +40,6 @@ __all__ = [
     "hook_partition",
     "MonomialMap",
     "SchurVector",
-    "PolyFamily",
     "monomial_family",
     "binomial_family",
     "hermite_family",
@@ -50,9 +49,10 @@ __all__ = [
     "family_expand",
     "sigma_at_zero",
     "hook_decomposition",
+    "power_sum_vector",
+    "power_sum_monomials",
     "apply_M0",
     "apply_M2",
-    "check_oracle_size",
     "generalized_binomial",
     "det",
 ]
@@ -90,7 +90,11 @@ class Partition:
         text = text.strip()
         if not text:
             return cls()
-        return cls(int(p) for p in text.split(","))
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ValueError(f"partition must be comma-separated integers, got {text!r}") from None
+        return cls(parts)
 
     @property
     def weight(self) -> int:
@@ -451,6 +455,8 @@ def power_sum_vector(m: int, n_vars: int) -> SchurVector:
 
 def power_sum_monomials(m: int, n_vars: int) -> MonomialMap:
     """p_{2m} = sum_i x_i**(2m) as a MonomialMap."""
+    if m < 1:
+        raise ValueError("power_sum_monomials needs m >= 1")
     terms = {}
     for i in range(n_vars):
         e = [0] * n_vars

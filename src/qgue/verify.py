@@ -14,7 +14,6 @@ the registry `_SUITES` with its bound defaults and its report grid label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exactq import ZERO, Scalar, q_factorial, series_coefficient
@@ -48,8 +47,7 @@ __all__ = [
 Params = Tuple[Tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class PointResult:
+class PointResult(NamedTuple):
     params: Params
     status: str  # "equal" | "discrepant"
     ratio: Optional[Scalar] = None
@@ -66,11 +64,10 @@ class PointResult:
         return self.sign is not None
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     identity: str
     grid: Dict[str, int]
-    points: List[PointResult] = field(default_factory=list)
+    points: List[PointResult]
 
     @property
     def discrepancies(self) -> List[PointResult]:
@@ -393,15 +390,13 @@ def verify_suite(
                 except SizeError as exc:
                     raise SizeError(f"suite {name}: {exc}") from None
             points = entry.points(**grid)
-        plans.append((SuiteResult(name, grid), points))
+        plans.append((name, grid, points))
     # evaluate each suite's first point now, so an empty grid fails fast
-    runs = [(suite, next(points, None), points) for suite, points in plans]
-    empty = [suite.identity for suite, first, _ in runs if first is None]
+    runs = [(name, grid, next(points, None), points) for name, grid, points in plans]
+    empty = [name for name, _, first, _ in runs if first is None]
     if empty:
         raise ValueError(f"empty grid in suite(s) {', '.join(empty)}; raise the bounds")
-    for suite, first, points in runs:
-        suite.points = [first, *points]
-    return [suite for suite, _, _ in runs]
+    return [SuiteResult(name, grid, [first, *points]) for name, grid, first, points in runs]
 
 
 def has_discrepancies(results: List[SuiteResult]) -> bool:

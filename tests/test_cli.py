@@ -132,6 +132,10 @@ def test_moment_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "moment", "--schur", "2,2", "--method", "closed", "--n-vars", "2")
     assert code == 2 and "hook" in err
+    for text in ("1,,1", "a"):
+        code, _, err = run(capsys, "moment", "--schur", text)
+        assert code == 2
+        assert err == f"error: partition must be comma-separated integers, got '{text}'\n"
     with pytest.raises(SystemExit) as exc:
         main(["moment"])
     assert exc.value.code == 2

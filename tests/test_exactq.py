@@ -452,3 +452,13 @@ def test_shared_dense_base_commutes_with_the_scalar_map(a, b, c, j, n):
     assert pa != xa and not (pa == xa)
     with pytest.raises(ValueError):
         xa ** -1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**6)))
+def test_constants_hash_like_the_numbers_they_equal(c):
+    # == against int and Fraction must agree with hash, so sets and dict keys mix them
+    for value in (QPolynomial([c]), Scalar(c)):
+        assert value == c and hash(value) == hash(c)
+        assert len({value, c}) == 1 and {c: "c"}.get(value) == "c"
+    assert hash(ZERO) == hash(0) and {1: "one"}.get(ONE) == "one"

@@ -241,6 +241,13 @@ def test_integrate_power_sum_routes_agree():
             assert fast == integrate_symmetric(power_sum_vector(m, n))
     with pytest.raises(ValueError):
         integrate_power_sum(1, 2, "closed")
+    # degenerate inputs are refused by both routes, never answered by one
+    for method in ("fast", "oracle"):
+        for m, n in [(0, 3), (1, 0), (1, -2)]:
+            with pytest.raises(ValueError):
+                integrate_power_sum(m, n, method)
+        with pytest.raises(ValueError):
+            integrate_schur(Partition(), 0, method)
 
 
 def test_q1_power_sum_values():

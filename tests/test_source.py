@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -71,6 +74,18 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == sorted(PUBLIC_NAMES)
+
+
+def test_cli_start_up_imports_no_introspection():
+    # dataclasses pulls in inspect, dis and tokenize, about 10 ms of every cold
+    # qgue process; a fresh interpreter keeps pytest's own imports out of the count
+    code = "import sys, qgue.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(qgue.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_all_entry_is_defined():
