@@ -1,46 +1,47 @@
 """Exact arithmetic over Q(q), the field of rational functions in q.
 
-This is the ground field for the whole package.  Three layers:
+This is the ground field for the whole package.  Its one coefficient ring
+is Z[q]; rationals appear only where numbers come in or go out.
 
-  * coefficients: arbitrary-precision rationals (`fractions.Fraction`,
-    aliased `BigRat`).  Integer-valued coefficients are stored as plain
-    `int` so the polynomial kernels mostly run on machine integers.
-  * `QPolynomial`: dense univariate polynomial in q, trailing zeros
-    stripped; the zero polynomial is the empty coefficient sequence.  Its
-    ring-generic operations live in the base `_Dense`, shared with `qxpoly.XPoly`;
-    each keeps its own product, and `_power` is the one square-and-multiply loop.
+  * `QPolynomial`: dense polynomial in q with int coefficients only, trailing
+    zeros stripped; the zero polynomial is the empty coefficient sequence.
+    Its ring-generic operations live in the base `_Dense`, shared with
+    `qxpoly.XPoly`; each keeps its own product, and `_power` is the one
+    square-and-multiply loop.
     Multiplication and evaluation run the coefficient-list kernels below
-    directly.  One division loop, `_int_divmod`, serves both exact
-    division, on the primitive integer parts, and the pseudo-remainders of
-    the one gcd, Collins' subresultant PRS on the primitive integer parts.
-    When every exponent of both operands is a multiple of some k > 1 (as
-    in the squared base, where everything is a polynomial in q^2), the
-    product and exact-division kernels run on the strided lists a[::k],
-    b[::k] and inflate the result; see `_stride`.
-  * `Scalar`: a reduced ratio num/den of two `QPolynomial` with monic
-    denominator.  Construction always canonicalizes, so `==` on Scalars
-    is exact field equality.  Once the common power of q is stripped, a
-    side with a single nonzero coefficient (a constant among them) is
-    coprime to the other, so such a pair skips the exact division and the
-    gcd.  Otherwise a pair reduces by one exact-division attempt num/den,
-    then by the gcd.
+    directly.  One division loop, `_int_divmod`, serves both exact division
+    in Z[q] and the pseudo-remainders of the one gcd, Collins' subresultant
+    PRS on primitive integer lists.  When every exponent of both operands is
+    a multiple of some k > 1 (as in the squared base, where everything is a
+    polynomial in q^2), the product and exact-division kernels run on the
+    strided lists a[::k], b[::k] and inflate the result; see `_stride`.
+  * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
+    num and den lie in Z[q] and are coprime over Q, the gcd of all their
+    coefficients is 1, and lc(den) > 0.  Construction always canonicalizes,
+    so `==` on Scalars is exact field equality, and a number argument goes
+    through `Fraction`.  Once the common power of q is stripped, a side with
+    a single nonzero coefficient (a constant among them) is coprime to the
+    other, so such a pair skips the exact division and the gcd.  Otherwise
+    each side splits into content and primitive part; by Gauss's lemma one
+    exact division of the primitive parts decides whether den divides num
+    over Q, and when it does not, their gcd is divided out.
 
-`exact_div` is Gauss's lemma alone: it divides the primitive integer parts
-over Z, whatever the operands.  LaTeX folding into q-integers [n]_q tests the
-value at q = 2, where [n]_q is 2**n - 1, before each trial division.  Values
-are written once, at construction, and are safe to share freely.
+Scalars print with a monic denominator: `str` and `latex` divide both sides
+by lc(den), and that is the only place a rational coefficient is built.
+LaTeX folding into q-integers [n]_q tests the value at q = 2, where [n]_q is
+2**n - 1, before each trial division.  Values are written once, at
+construction, and are safe to share freely.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 BigRat = Fraction
-
-Coeff = Union[int, Fraction]
 
 __all__ = [
     "BigRat",
@@ -62,32 +63,24 @@ class PoleError(ArithmeticError):
     """Evaluation of a Scalar at a point where its reduced denominator vanishes."""
 
 
-def _norm(c: Coeff) -> Coeff:
-    """Collapse Fractions with denominator 1 to plain ints."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Z[q] kernels on ascending coefficient lists
 # ---------------------------------------------------------------------------
 
 
+def _content(ints) -> int:
+    """The gcd of a nonzero integer list, signed like its leading coefficient."""
+    return math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+
+
 def _primitive(ints):
-    """The primitive part of an integer list, with positive leading coefficient."""
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g == 0:
-        return ints
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
+    """The primitive part of a nonzero integer list, with positive leading coefficient."""
+    g = _content(ints)
+    return ints if g == 1 else [c // g for c in ints]
 
 
-def _eval_int(coeffs, x: Coeff) -> Coeff:
-    """Horner evaluation; int and Fraction coefficients alike."""
+def _eval_int(coeffs, x):
+    """Horner evaluation of integer coefficients at an int or a Fraction."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -128,7 +121,7 @@ def _inflate(cs, k):
 
 
 def _mul_int(a, b):
-    """Schoolbook product of two nonempty lists; int and Fraction coefficients alike."""
+    """Schoolbook product of two nonempty integer lists."""
     k = _stride(a, b)
     if k > 1:
         return _inflate(_mul_int(a[::k], b[::k]), k)
@@ -296,15 +289,12 @@ class _Dense:
 
 
 class QPolynomial(_Dense):
-    """Dense polynomial in q with exact rational coefficients."""
+    """Dense polynomial in q with integer coefficients; anything but an int raises TypeError."""
 
     __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [_norm(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable[int] = ()):
+        super().__init__(map(operator.index, coeffs))
 
     @classmethod
     def q_power(cls, j: int) -> "QPolynomial":
@@ -330,7 +320,7 @@ class QPolynomial(_Dense):
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((_norm(other),) if other != 0 else ())
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -350,32 +340,17 @@ class QPolynomial(_Dense):
             return self.scale(b[0])
         return QPolynomial(_mul_int(a, b))
 
-    def __call__(self, x: Coeff) -> Coeff:
+    def __call__(self, x):
         return _eval_int(self.coeffs, x)
 
     # -- division ------------------------------------------------------------
 
     def exact_div(self, other: "QPolynomial") -> Optional["QPolynomial"]:
-        """Return self/other when the division is exact, else None.
-
-        The primitive integer parts are divided over Z: by Gauss's lemma a
-        primitive divisor of an integer polynomial over Q divides it over Z.
-        """
+        """Return self/other when the quotient lies in Z[q], else None."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        sa, pa = self._int_primitive()
-        sb, pb = other._int_primitive()
-        quot = _int_divides(pb, pa)
-        if quot is None:
-            return None
-        return QPolynomial(quot).scale(_norm(sa / sb))
-
-    def _int_primitive(self):
-        """Return (scale, primitive int coefficient list) with self = scale * primitive."""
-        den = math.lcm(*(c.denominator for c in self.coeffs if type(c) is Fraction))
-        ints = [int(c * den) for c in self.coeffs]
-        prim = _primitive(ints)
-        return (Fraction(ints[-1], den * prim[-1]) if ints else Fraction(0)), prim
+        quot = _int_divides(other.coeffs, self.coeffs)
+        return None if quot is None else QPolynomial._raw(tuple(quot))
 
     # -- rendering -----------------------------------------------------------
 
@@ -423,7 +398,7 @@ def _subresultant_gcd(a, b):
 
 def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Primitive positive-leading gcd over the integers of two nonzero polynomials."""
-    return QPolynomial(_subresultant_gcd(a._int_primitive()[1], b._int_primitive()[1]))
+    return QPolynomial(_subresultant_gcd(_primitive(a.coeffs), _primitive(b.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +406,14 @@ def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _split(p: QPolynomial):
+    """(content, primitive part) of a nonzero polynomial, the part positive-leading."""
+    c = _content(p.coeffs)
+    return c, (p if c == 1 else QPolynomial._raw(tuple(x // c for x in p.coeffs)))
+
+
 def _reduce_pair(num: QPolynomial, den: QPolynomial):
+    """The canonical pair of num/den: coprime over Q, joint content 1 and lc(den) > 0."""
     if den.is_zero:
         raise ZeroDivisionError("zero denominator in Q(q)")
     if num.is_zero:
@@ -441,40 +423,48 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
     if v:
         num = num.shifted(-v)
         den = den.shifted(-v)
-    if nv - v == num.degree or dv - v == den.degree:
-        # one side is c q^p: a unit when p = 0, and otherwise, with the common
-        # power of q stripped, the other side is not divisible by q; coprime
-        return _monic_pair(num, den)
-    q = num.exact_div(den)
-    if q is not None:
-        return q, _QP_ONE
-    g = _poly_gcd(num, den)
-    if g.degree > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    return _monic_pair(num, den)
+    cn, num = _split(num)
+    cd, den = _split(den)
+    # a side c q^p is a unit when p = 0, and otherwise, with the common power
+    # of q stripped, the other side is not divisible by q: the pair is coprime
+    if nv - v != num.degree and dv - v != den.degree:
+        quot = num.exact_div(den)  # by Gauss's lemma, exact over Z exactly when over Q
+        if quot is not None:
+            num, den = quot, _QP_ONE
+        else:
+            g = _poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+    # num and den are now coprime, primitive and positive-leading: divide out
+    # the joint content gcd(cn, cd), with the sign that makes lc(den) > 0
+    g = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)
+    return num.scale(cn // g), den.scale(cd // g)
 
 
-def _monic_pair(num: QPolynomial, den: QPolynomial):
-    """Scale a coprime pair so that the denominator is monic."""
-    lc = den.leading
-    if lc == 1:
-        return num, den
-    inv = _norm(1 / Fraction(lc))
-    return num.scale(inv), den.scale(inv)
+def _as_ratio(x):
+    """(p, d) with p in Z[q], d a positive int and x = p/d; a number goes through Fraction."""
+    if isinstance(x, QPolynomial):
+        return x, 1
+    f = Fraction(x)
+    return QPolynomial((f.numerator,)), f.denominator
+
+
+def _operand(x) -> Optional["Scalar"]:
+    """x as a Scalar when it is one, an int or a Fraction; else None."""
+    if isinstance(x, Scalar):
+        return x
+    return Scalar(x) if isinstance(x, (int, Fraction)) else None
 
 
 class Scalar:
-    """Element of Q(q): a reduced num/den pair with monic denominator."""
+    """Element of Q(q): a coprime integer pair num/den, joint content 1 and lc(den) > 0."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        if not isinstance(num, QPolynomial):
-            num = QPolynomial.constant(num) if num else _QP_ZERO
-        if not isinstance(den, QPolynomial):
-            den = QPolynomial.constant(den)
-        self.num, self.den = _reduce_pair(num, den)
+        (num, a), (den, b) = _as_ratio(num), _as_ratio(den)  # (n/a) / (d/b) = (n b) / (d a)
+        self.num, self.den = _reduce_pair(num.scale(b), den.scale(a))
 
     @classmethod
     def _make(cls, num: QPolynomial, den: QPolynomial) -> "Scalar":
@@ -507,7 +497,7 @@ class Scalar:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.is_one
+        return self.den.degree == 0
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -516,12 +506,14 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.den.is_one and self.num == other
+            return self.num == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a polynomial hashes like its numerator, so a constant hashes like its number
-        return hash(self.num) if self.den.is_one else hash((self.num.coeffs, self.den.coeffs))
+        # a constant equals the number it holds, so it hashes like that number
+        if self.num.degree <= 0 and self.den.degree == 0:
+            return hash(Fraction(self.num.coefficient(0), self.den.leading))
+        return hash((self.num.coeffs, self.den.coeffs))
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -538,13 +530,12 @@ class Scalar:
             return None
         return (1 if lead == 1 else -1, self.num.degree - self.den.degree)
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: int and Fraction operands are taken on either side ------
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            if type(other) is not int:
-                return NotImplemented
-            other = Scalar(other)
+    def __add__(self, other) -> "Scalar":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         a, b = self.num, self.den
         c, d = other.num, other.den
         if a.is_zero:
@@ -552,63 +543,73 @@ class Scalar:
         if c.is_zero:
             return self
         if b == d:
-            return Scalar(a + c, b)
-        return Scalar(a * d + c * b, b * d)
+            return Scalar._make(*_reduce_pair(a + c, b))
+        return Scalar._make(*_reduce_pair(a * d + c * b, b * d))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         return Scalar._make(-self.num, self.den)
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+    def __sub__(self, other) -> "Scalar":
+        other = _operand(other)
+        return NotImplemented if other is None else self + (-other)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            if type(other) is not int:
-                return NotImplemented
-            other = Scalar(other)
+    def __rsub__(self, other) -> "Scalar":
+        return (-self).__add__(other)
+
+    def __mul__(self, other) -> "Scalar":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         if self.num.is_zero or other.num.is_zero:
             return ZERO
-        return Scalar(self.num * other.num, self.den * other.den)
+        return Scalar._make(*_reduce_pair(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
+        """den/num, which needs no reduction: at most a sign change makes lc(den) > 0."""
         if self.num.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return Scalar._make(*_monic_pair(self.den, self.num))
+        num, den = self.den, self.num
+        return Scalar._make(num, den) if den.leading > 0 else Scalar._make(-num, -den)
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self * other.inverse()
+    def __truediv__(self, other) -> "Scalar":
+        other = _operand(other)
+        return NotImplemented if other is None else self * other.inverse()
+
+    def __rtruediv__(self, other) -> "Scalar":
+        return self.inverse().__mul__(other)
 
     def __pow__(self, n: int) -> "Scalar":
         return _power(self.inverse(), -n, ONE) if n < 0 else _power(self, n, ONE)
 
-    # -- rendering -----------------------------------------------------------
+    # -- rendering: both sides divided by lc(den), so the denominator prints monic
 
     def __str__(self) -> str:
         if self.num.is_zero:
             return "0"
-        ns = str(self.num)
-        if self.den.is_one:
+        lc = self.den.leading
+        num, den = ([_over(c, lc) for c in side.coeffs] for side in (self.num, self.den))
+        ns = _join_terms(num, _coeff_str)
+        if len(den) == 1:
             return ns
-        ds = str(self.den)
-        if len(self.num.coeffs) - self.num.coeffs.count(0) > 1:
+        ds = _join_terms(den, _coeff_str)
+        if len(num) - num.count(0) > 1:
             ns = f"({ns})"
-        if len(self.den.coeffs) - self.den.coeffs.count(0) > 1:
+        if len(den) - den.count(0) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
     def latex(self) -> str:
         if self.num.is_zero:
             return "0"
-        ns = _latex_side(self.num)
-        if self.den.is_one:
+        lc = self.den.leading
+        ns = _latex_side(self.num, lc)
+        if self.den.degree == 0:
             return ns
-        return r"\frac{%s}{%s}" % (ns, _latex_side(self.den))
+        return r"\frac{%s}{%s}" % (ns, _latex_side(self.den, lc))
 
 
 ZERO = Scalar._make(_QP_ZERO, _QP_ONE)
@@ -620,7 +621,12 @@ ONE = Scalar._make(_QP_ONE, _QP_ONE)
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(c: Coeff, power: int) -> str:
+def _over(c: int, lc: int):
+    """c / lc: an int when the division is exact, else a Fraction."""
+    return c // lc if c % lc == 0 else Fraction(c, lc)
+
+
+def _coeff_str(c, power: int) -> str:
     if power == 0:
         return str(c)
     if power == 1:
@@ -643,7 +649,7 @@ def _join_terms(coeffs, term) -> str:
     return "".join(parts) or "0"
 
 
-def _latex_coeff(c: Coeff, power: int) -> str:
+def _latex_coeff(c, power: int) -> str:
     if power == 0:
         var = ""
     elif power == 1:
@@ -663,12 +669,11 @@ def _fold_q_integers(p: QPolynomial):
         return None
     v = p.valuation
     work = p.shifted(-v) if v else p
-    scale, ints = work._int_primitive()
-    work = QPolynomial(ints)
     factors: dict = {}
     n = work.degree + 1
     while work.degree > 0 and n >= 2:
-        # most trials fail, and [n]_q is 2**n - 1 at q = 2: test that image first
+        # [n]_q is monic, so quotients stay in Z[q]; most trials fail, and [n]_q
+        # is 2**n - 1 at q = 2: test that image first
         quot = work.exact_div(QPolynomial._raw((1,) * n)) if work(2) % (2**n - 1) == 0 else None
         if quot is not None:
             factors[n] = factors.get(n, 0) + 1
@@ -677,14 +682,15 @@ def _fold_q_integers(p: QPolynomial):
             n -= 1
     if work.degree > 0:
         return None
-    scale = scale * Fraction(work.coeffs[0])
-    return _norm(scale), v, factors
+    return work.coeffs[0], v, factors
 
 
-def _latex_side(p: QPolynomial) -> str:
+def _latex_side(p: QPolynomial, lc: int) -> str:
+    """LaTeX of p / lc, refolded into q-integers where possible."""
     folded = _fold_q_integers(p)
     if folded is not None and folded[2]:
         c, v, factors = folded
+        c = _over(c, lc)
         out = ""
         if c == -1:
             out += "-"
@@ -698,7 +704,7 @@ def _latex_side(p: QPolynomial) -> str:
             e = factors[n]
             out += "[%d]_q" % n if e == 1 else "[%d]_q^{%d}" % (n, e)
         return out
-    return _join_terms(p.coeffs, _latex_coeff)
+    return _join_terms([_over(c, lc) for c in p.coeffs], _latex_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +782,8 @@ def evaluate_at(s: Scalar, q0) -> Fraction:
     A Scalar's num and den are coprime, so they share no root and a
     vanishing denominator is a pole.
     """
-    x = _norm(Fraction(q0))
+    x = Fraction(q0)
+    x = x.numerator if x.denominator == 1 else x  # Horner on ints at an integer point
     dv = s.den(x)
     if dv == 0:
         raise PoleError(f"pole at q = {q0}")

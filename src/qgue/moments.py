@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple
 
-from .exactq import ONE, ZERO, QPolynomial, Scalar, evaluate_at, m_q, q_binomial, q_factorial
+from .exactq import ONE, ZERO, Scalar, evaluate_at, m_q, q_binomial, q_factorial
 from .qxpoly import XPoly, functional_L, hermite
 from .symschur import (
     MonomialMap,
@@ -311,15 +311,15 @@ def pairing_genus_counts(m: int) -> Dict[int, int]:
     return counts
 
 
-def _interpolate(xs: List[int], ys: List[Fraction]) -> QPolynomial:
-    """The unique polynomial through the points (xs[i], ys[i]), by Lagrange's formula."""
-    total = QPolynomial.zero()
+def _interpolate(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
+    """Ascending coefficients of the polynomial through the points (xs[i], ys[i]), by Lagrange."""
+    total = [Fraction(0)] * len(xs)
     for i, xi in enumerate(xs):
-        basis, denom = QPolynomial.one(), 1
+        basis, denom = [1], 1
         for xj in xs[:i] + xs[i + 1 :]:
-            basis = basis * QPolynomial((-xj, 1))
+            basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]  # times (x - xj)
             denom *= xi - xj
-        total = total + basis.scale(ys[i] / denom)
+        total = [t + c * ys[i] / denom for t, c in zip(total, basis)]
     return total
 
 
@@ -337,7 +337,7 @@ def genus_table(max_m: int) -> List[GenusRow]:
         for N in range(1, m + 2):
             ys.append(evaluate_at(integrate_power_sum(m, N), 1))
         table: Dict[int, int] = {}
-        for k, c in enumerate(_interpolate(xs, ys).coeffs):
+        for k, c in enumerate(_interpolate(xs, ys)):
             if c == 0:
                 continue
             offset = (m + 1) - k

@@ -380,6 +380,8 @@ def _family_polys(fam: PolyFamily, kappa: Partition, n_vars: int) -> List[XPoly]
 def det(matrix: List[List[Scalar]]) -> Scalar:
     """Determinant of a Scalar matrix by fraction-free (Bareiss) elimination."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"det needs a square matrix, got row lengths {[len(r) for r in matrix]}")
     if n == 0:
         return ONE
     m = [list(row) for row in matrix]

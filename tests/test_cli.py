@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from qgue import Scalar, verify
+from qgue import Scalar, evaluate_at, hermite_squared_moment, verify
 from qgue.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -223,7 +224,19 @@ def test_moment_rejects_non_positive_n_vars(n_vars):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("at_q", ["1/0", "half"])
+def test_moment_at_q_prints_values_past_the_digit_limit(capsys):
+    # 100 digits over 100 digits is inside AT_Q_MAX_DIGITS, and its exact value
+    # has about 9000 digits on each side, past Python's 4300-digit default
+    point = "9" * 100 + "/" + "9" * 99 + "8"
+    code, out, _ = run(capsys, "moment", "--hermite-sq", "0,10", "--at-q", point)
+    value = evaluate_at(hermite_squared_moment(0, 10), Fraction(point))
+    assert code == 0 and len(out) > 2 * 4300 and Fraction(out) == value
+
+
+# not rational, or a numerator, denominator or decimal exponent past AT_Q_MAX_DIGITS
+@pytest.mark.parametrize(
+    "at_q", ["1/0", "half", "1e100", "1e-101", "1/" + "1" * 101, "1e" + "9" * 5000]
+)
 def test_moment_rejects_bad_at_q(at_q):
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--power-sum", "2", "--n-vars", "2", "--at-q", at_q])

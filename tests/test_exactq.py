@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -138,11 +139,16 @@ def test_field_axioms_on_random_scalars():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == ZERO
-        k = rng.randint(-3, 3)  # int operands on either side
+        # int and Fraction operands on either side
+        k = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(2, 4))))
         assert a * k == k * a == a * Scalar(k) and a + k == k + a == a + Scalar(k)
+        assert a - k == a - Scalar(k) and k - a == Scalar(k) - a
+        if k:
+            assert a / k == a / Scalar(k)
         if not a.is_zero:
             assert a * a.inverse() == ONE
             assert (a ** -2) * (a ** 2) == ONE
+            assert k / a == Scalar(k) / a
         # a product of polynomials stays a polynomial with int coefficients
         u, v = _random_poly(rng), _random_poly(rng)
         prod = Scalar(u) * Scalar(v)
@@ -150,11 +156,73 @@ def test_field_axioms_on_random_scalars():
         assert all(type(c) is int for c in prod.num.coeffs)
 
 
+def test_mixed_arithmetic_takes_what_equality_takes():
+    half = Fraction(1, 2)
+    assert 1 - ONE == 0 and ONE / 2 == half and 2 / ONE == 2
+    assert ONE + half == Fraction(3, 2) and ONE * half == half
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((ONE, 1.5), (1.5, ONE), (ONE, "x"), ("x", ONE)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
 def test_reduced_canonical_form():
     s = Scalar(QPolynomial([0, 2, 2]), QPolynomial([0, 0, 4]))  # (2q+2q^2)/(4q^2)
     assert str(s) == "(1/2+(1/2)q)/q"
     assert s == Scalar(QPolynomial([1, 1]), QPolynomial([0, 2]))
-    assert s.den.leading == 1
+    assert (s.num.coeffs, s.den.coeffs) == ((1, 1), (0, 2))
+
+
+def test_numbers_enter_through_fraction():
+    for bad in ([1.5], [Fraction(1, 2)], [Fraction(2)], ["1"]):
+        with pytest.raises(TypeError):
+            QPolynomial(bad)
+    assert Scalar(1.5) == Fraction(3, 2) and Scalar(QPolynomial([1]), 0.25) == 4
+    with pytest.raises(ValueError):
+        Scalar("x")
+
+
+POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2))
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _build(tree):
+    """(Scalar, {x: value at x by Fraction arithmetic, None where a step divides by zero})."""
+    if len(tree) == 2:
+        cs, d = tree
+        p = QPolynomial(cs)
+        return Scalar(p, d), {x: Fraction(p(x), d) for x in POINTS}
+    op, left, right = tree
+    (a, va), (b, vb) = _build(left), _build(right)
+    if op == "/" and b.is_zero:
+        return a, va
+    values = {}
+    for x in POINTS:
+        try:
+            values[x] = _OPS[op](va[x], vb[x])
+        except (TypeError, ZeroDivisionError):  # None from a pole below, or a new pole
+            values[x] = None
+    return _OPS[op](a, b), values
+
+
+leaf = st.tuples(st.lists(st.integers(-6, 6), max_size=4), st.integers(-5, 5).filter(bool))
+expression = st.recursive(
+    leaf, lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids), max_leaves=6
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(expression)
+def test_scalars_are_canonical_integer_pairs(tree):
+    # num and den are coprime over Q, share no integer content, and lc(den) > 0;
+    # the value agrees with Fraction arithmetic wherever that has no pole
+    s, values = _build(tree)
+    num, den = list(s.num.coeffs), list(s.den.coeffs)
+    assert euclid_gcd(num, den) == [1]
+    assert math.gcd(*num, *den) == 1 and den[-1] > 0
+    for x, v in values.items():
+        if v is not None:
+            assert evaluate_at(s, x) == v
 
 
 def test_squared_base_splits_even_q_integers():
@@ -221,7 +289,7 @@ def test_string_rendering_contract():
     assert str(ONE / (ONE - Scalar.q_power(1))) == "-1/(-1+q)"
     assert str(Scalar.q_power(2) / (ONE + Scalar.q_power(1))) == "q^2/(1+q)"
     assert str(Scalar.from_fraction(Fraction(-3, 2))) == "-3/2"
-    assert str(QPolynomial([Fraction(1, 2), 0, -3, Fraction(-2, 3), 1])) == "1/2-3q^2-(2/3)q^3+q^4"
+    assert str(Scalar(QPolynomial([3, 0, -18, -4, 6]), 6)) == "1/2-3q^2-(2/3)q^3+q^4"
 
 
 def test_latex_rendering():
@@ -230,7 +298,7 @@ def test_latex_rendering():
     assert series_coefficient(2, "e", squared=True).latex() == r"\frac{1}{1+q^{2}}"
     assert (ONE + q_integer(3)).latex() == "2+q+q^{2}"
     assert (
-        QPolynomial([Fraction(1, 2), 0, -3, Fraction(-2, 3), 1]).latex()
+        Scalar(QPolynomial([3, 0, -18, -4, 6]), 6).latex()
         == r"\tfrac{1}{2}-3q^{2}-\tfrac{2}{3}q^{3}+q^{4}"
     )
 
@@ -326,6 +394,12 @@ rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 rat_poly = st.lists(rat, min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
 
 
+def _over_z(cs):
+    """(integer list, positive common denominator) of a rational coefficient list."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [int(c * den) for c in cs], den
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     rat_poly,
@@ -337,20 +411,26 @@ rat_poly = st.lists(rat, min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
     st.data(),
 )
 def test_exact_div_on_rational_coefficients(a, b, data):
-    # exact division runs on the primitive integer parts, so the divisor's
-    # content and non-unit leading coefficient must come back out exactly;
-    # the same path serves constant divisors, zero and lower-degree dividends
-    a, b = QPolynomial(a), QPolynomial(b)
-    quot = (a * b).exact_div(b)
-    assert quot == a
-    assert [type(c) for c in quot.coeffs] == [type(c) for c in a.coeffs]
-    assert QPolynomial.zero().exact_div(b) == QPolynomial.zero()
+    # in Z[q] the quotient comes back exactly when it has integer coefficients,
+    # whatever the divisor's content and leading coefficient; the same path
+    # serves constant divisors, zero and lower-degree dividends
+    (ia, da), (ib, db) = _over_z(a), _over_z(b)
+    A, B = QPolynomial(ia), QPolynomial(ib)
+    assert (A * B).exact_div(B) == A
+    for k in (2, 3):
+        # A / k lies in Z[q] exactly when k divides every coefficient of A
+        want = QPolynomial(c // k for c in ia) if all(c % k == 0 for c in ia) else None
+        assert (A * B).exact_div(B.scale(k)) == want
+    assert QPolynomial.zero().exact_div(B) == QPolynomial.zero()
     with pytest.raises(ZeroDivisionError):
-        a.exact_div(QPolynomial.zero())
-    if b.degree > 0:
-        r = QPolynomial(data.draw(st.lists(rat, min_size=1, max_size=b.degree).filter(any)))
-        assert (a * b + r).exact_div(b) is None
-        assert r.exact_div(b) is None
+        A.exact_div(QPolynomial.zero())
+    if B.degree > 0:
+        r = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=B.degree).filter(any))
+        assert (A * B + QPolynomial(r)).exact_div(B) is None
+        assert QPolynomial(r).exact_div(B) is None
+    # over Q(q), with the rational a and b themselves
+    sa, sb = Scalar(A, da), Scalar(B, db)
+    assert (sa * sb) / sb == sa
 
 
 def _plain(kernel, *args):
@@ -393,19 +473,18 @@ def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
 )
 def test_monomial_side_matches_gcd_route(den, p, c):
     # Scalar takes the coprime shortcut when one side is c q^p, a constant
-    # included; the reference divides both sides by their gcd over Z and
-    # makes the denominator monic
-    mono = QPolynomial.q_power(p).scale(c)
-    den = QPolynomial(den)
+    # included; the reference clears denominators, divides both sides by
+    # their gcd over Z and then by their joint content, signed so lc(den) > 0
+    mono = [0] * p + [c]
     for num, d in ((mono, den), (den, mono)):
+        ints, _ = _over_z([Fraction(x) for x in num + d])
+        num, d = QPolynomial(ints[: len(num)]), QPolynomial(ints[len(num) :])
         g = _poly_gcd(num, d)
         rn, rd = num.exact_div(g), d.exact_div(g)
-        inv = 1 / Fraction(rd.leading)
-        want = rn.scale(inv).coeffs, rd.scale(inv).coeffs
+        content = math.gcd(*rn.coeffs, *rd.coeffs) * (1 if rd.leading > 0 else -1)
+        want = tuple(x // content for x in rn.coeffs), tuple(x // content for x in rd.coeffs)
         s = Scalar(num, d)
-        got = s.num.coeffs, s.den.coeffs
-        assert got == want
-        assert [type(x) for x in got[0] + got[1]] == [type(x) for x in want[0] + want[1]]
+        assert (s.num.coeffs, s.den.coeffs) == want
 
 
 def test_duality_makes_no_gcd_calls():
@@ -457,8 +536,12 @@ def test_shared_dense_base_commutes_with_the_scalar_map(a, b, c, j, n):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**6)))
 def test_constants_hash_like_the_numbers_they_equal(c):
-    # == against int and Fraction must agree with hash, so sets and dict keys mix them
-    for value in (QPolynomial([c]), Scalar(c)):
+    # == against int and Fraction must agree with hash, so sets and dict keys mix them;
+    # QPolynomial takes ints only, and Scalar takes ints and Fractions
+    values = [Scalar(c)]
+    if c.denominator == 1:
+        values.append(QPolynomial([c.numerator]))
+    for value in values:
         assert value == c and hash(value) == hash(c)
         assert len({value, c}) == 1 and {c: "c"}.get(value) == "c"
     assert hash(ZERO) == hash(0) and {1: "one"}.get(ONE) == "one"

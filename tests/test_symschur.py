@@ -160,6 +160,10 @@ def test_determinant():
     assert det([[one, q], [q, one]]) == ONE - Scalar.q_power(2)
     assert det([[ZERO, one], [one, ZERO]]) == -ONE
     assert det([[ZERO, ZERO], [one, one]]) == ZERO
+    # a matrix that is not square is refused, whether it is short or ragged
+    for bad in ([[one, one]], [[one, one], [one]]):
+        with pytest.raises(ValueError):
+            det(bad)
 
 
 def test_family_expand_monomials_is_identity():
