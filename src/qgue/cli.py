@@ -34,9 +34,9 @@ from .verify import (
     verify_suite,
 )
 
-# bound on the x-degree 2(m+s) of a --hermite-sq request; the cold cost grows
-# steeply with it (3.5-3.7 s for m = 0, s = 30 on a 2-vCPU machine, most of it
-# squaring H_30)
+# bound on the x-degree 2(m+s) of a --hermite-sq request (slowest inside it:
+# 0.16-0.26 s in a cold process on a 2-vCPU machine, at (m, s) = (30, 0) and
+# (20, 10), against 0.12-0.20 s at (0, 30))
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
 # or closed --schur or --power-sum request; the coefficient minor's cost grows
@@ -47,8 +47,8 @@ MOMENT_MAX_WEIGHT = 12
 # bound on the digits of the numerator and the denominator of --at-q, and on a
 # decimal exponent, which Fraction expands into a power of ten; the printed
 # value grows with them (slowest inside it: --hermite-sq 0,30 at a 100-digit
-# over 100-digit point prints 172 kB in 4.0 s, against 3.2 s without --at-q,
-# in a cold process on a 2-vCPU machine)
+# over 100-digit point prints 174 kB in 0.80-0.84 s, against 0.12-0.20 s
+# without --at-q, in a cold process on a 2-vCPU machine)
 AT_Q_MAX_DIGITS = 100
 
 CLOSED_FORM_BANNER = (
@@ -91,9 +91,15 @@ def _positive_int(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    exponent = text.lower().partition("e")[2]  # checked before Fraction expands it
+    # each digit run is counted before int() or Fraction parses it, so that no
+    # literal meets Python's 4300-digit parsing limit, and the exponent is
+    # checked before Fraction expands it into a power of ten
+    mantissa, _, exponent = text.lower().partition("e")
+    runs = (*mantissa.replace("/", ".").split("."), exponent)
+    digits = max(sum(c.isdigit() for c in run) for run in runs)
     try:
-        value = None if exponent and abs(int(exponent)) > AT_Q_MAX_DIGITS else Fraction(text)
+        too_big = digits > AT_Q_MAX_DIGITS or (exponent and abs(int(exponent)) > AT_Q_MAX_DIGITS)
+        value = None if too_big else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
     if value is None or max(abs(value.numerator), value.denominator) >= 10**AT_Q_MAX_DIGITS:

@@ -7,6 +7,19 @@ it: the monomial oracle (definitional) and the shadow-determinant fast
 path, and Theorem-style closed formulas are transcribed verbatim so the
 verification harness can compare them against the oracle.
 
+The one-variable moments L(x**k H_s H_t) are weighted path counts on the
+Jacobi matrix of the q-Hermite recurrence x H_t = H_{t+1} + b_t H_{t-1},
+with b_t = q**(t-1) [t]_q (Flajolet's continued-fraction combinatorics).
+If x**k H_s = sum_t c_k(t) H_t, then c_0 = e_s and
+c_{k+1}(t) = c_k(t-1) + b_{t+1} c_k(t+1): c_k(t) sums, over the paths of k
+up and down steps from height s to height t, the product of b_{u+1} over
+the down steps from u+1 to u.  By orthogonality L(x**(2m) H_s**2) =
+c_{2m}(s) h_s with h_s = L(H_s**2) = q**(s(s-1)/2) [s]!.  The walk (`_walk`)
+runs on plain int tuples: every c_k(t) lies in N[q], and multiplying by b_t
+is a sliding sum of t coefficients, so no product, division or gcd occurs.
+Each reader takes c_{2m}(s) directly, and only `hermite_squared_moment`
+multiplies it by h_s.
+
 The closed-form evaluators (`hook_moment_closed_form`, `sigma_closed_form`,
 `p2m_closed_form`, `theorem5_rhs`, `qhz_rhs`) reproduce printed formulas
 exactly as printed, known defects included; correctness judgments live in
@@ -16,11 +29,23 @@ exactly as printed, known defects included; correctness judgments live in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, NamedTuple
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add, sub
+from typing import Dict, List, NamedTuple, Tuple
 
-from .exactq import ONE, ZERO, Scalar, evaluate_at, m_q, q_binomial, q_factorial
-from .qxpoly import XPoly, functional_L, hermite
+from .exactq import (
+    ONE,
+    ZERO,
+    QPolynomial,
+    Scalar,
+    evaluate_at,
+    m_q,
+    q_binomial,
+    q_factorial,
+    q_integer,
+)
+from .qxpoly import XPoly
 from .symschur import (
     MonomialMap,
     Partition,
@@ -71,8 +96,8 @@ def gaussian_moment(n: int) -> Scalar:
 
 
 def hermite_norm(j: int) -> Scalar:
-    """L(H_j**2), the m = 0 case of hermite_squared_moment."""
-    return hermite_squared_moment(0, j)
+    """L(H_j**2) = q**(j(j-1)/2) [j]!, the product b_1 ... b_j of the recurrence weights."""
+    return Scalar.q_power(j * (j - 1) // 2) * q_factorial(j)
 
 
 @lru_cache(maxsize=None)
@@ -125,25 +150,74 @@ def level_density_moment(p: XPoly, N: int) -> Scalar:
     """Integral of p(x_1) + ... + p(x_N), as the sum of L(p H_j^2)/L(H_j^2) over j < N.
 
     H_j has the parity of j, so H_j^2 is even and L(x^(2k+1) H_j^2) = 0: only the even
-    coefficients p_{2k} contribute, each times hermite_squared_moment(k, j) = L(x^(2k) H_j^2).
+    coefficients p_{2k} contribute, and L(x^(2k) H_j^2)/L(H_j^2) is the path count
+    c_{2k}(j), so the integral is the sum of p_{2k} times the sum of c_{2k}(j) over j < N.
     """
     if N < 1:
         raise ValueError("level_density_moment needs N >= 1")
     even = [(k, c) for k, c in enumerate(p.coeffs[::2]) if c]
+    if not even:
+        return ZERO
+    walks = [_walk(j, even[-1][0]) for j in range(N)]
     total = ZERO
-    for j in range(N):
-        part = sum((c * hermite_squared_moment(k, j) for k, c in even), ZERO)
-        total = total + part / hermite_norm(j)
+    for k, c in even:
+        total = total + c * Scalar(QPolynomial(reduce(_plus, (w[k] for w in walks))))
     return total
 
 
+def _times_weight(c: Tuple[int, ...], t: int) -> Tuple[int, ...]:
+    """c times b_t = q**(t-1) [t]_q (t >= 1): each coefficient sums a window of t of c's.
+
+    With prefix[i] = c[0] + ... + c[i-1] and n = len(c), the coefficient of
+    q**(t - 1 + i) is prefix[min(i + 1, n)] - prefix[max(i + 1 - t, 0)] for
+    i < n + t - 1; the two lists subtracted below are those terms.
+    """
+    prefix = [0, *accumulate(c)]
+    pad = [0] * (t - 1)
+    return (*pad, *map(sub, prefix[1:] + prefix[-1:] * (t - 1), pad + prefix[:-1]))
+
+
+def _plus(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The sum of two ascending coefficient tuples."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b) :])
+
+
 @lru_cache(maxsize=None)
+def _walk(s: int, M: int) -> Tuple[Tuple[int, ...], ...]:
+    """(c_0(s), c_2(s), ..., c_2M(s)): the weighted paths from height s back to s.
+
+    Each c is an ascending coefficient tuple in N[q], () for zero.  At step k a
+    path still has to get back to s within 2M - k steps, so heights above
+    s + min(k, 2M - k) never reach an answer and the vector stops there.
+    """
+    vec: List[Tuple[int, ...]] = [()] * s + [(1,)]
+    out = [(1,)]
+    for k in range(1, 2 * M + 1):
+        top = s + min(k, 2 * M - k)
+        nxt = []
+        for t in range(top + 1):
+            # an up step from t - 1 has weight 1, a down step from t + 1 weight b_(t+1)
+            below = vec[t - 1] if t else ()
+            above = vec[t + 1] if t + 1 < len(vec) else ()
+            nxt.append(_plus(below, _times_weight(above, t + 1)) if above else below)
+        vec = nxt
+        if k % 2 == 0:
+            out.append(vec[s])
+    return tuple(out)
+
+
+def _path_count(m: int, s: int) -> Scalar:
+    """c_2m(s) = L(x**(2m) H_s**2) / L(H_s**2), a polynomial in q."""
+    if m < 0 or s < 0:
+        raise ValueError("needs m, s >= 0")
+    return Scalar(QPolynomial(_walk(s, m)[m]))
+
+
 def hermite_squared_moment(m: int, s: int) -> Scalar:
     """L(x**(2m) H_s**2), the oracle side of the one-variable moment formulas."""
-    if m < 0 or s < 0:
-        raise ValueError("hermite_squared_moment needs m, s >= 0")
-    hs = hermite(s)
-    return functional_L((hs * hs).shifted(2 * m))
+    return _path_count(m, s) * hermite_norm(s)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +299,16 @@ def theorem5_rhs(m: int, s: int) -> Scalar:
 
 
 def theorem5_lhs(m: int, s: int) -> Scalar:
-    """The moment oracle under the printed normalization q**(s(s+1)/2) [s+1]!."""
-    return hermite_squared_moment(m, s) / (
-        Scalar.q_power(s * (s + 1) // 2) * q_factorial(s + 1)
-    )
+    """The moment oracle under the printed normalization q**(s(s+1)/2) [s+1]! = h_(s+1).
+
+    That is c_2m(s) h_s / h_(s+1) = c_2m(s) / (q**s [s+1]_q).
+    """
+    return _path_count(m, s) / (Scalar.q_power(s) * q_integer(s + 1))
 
 
 def qhz_lhs(m: int, s: int) -> Scalar:
-    """The moment oracle under the normalization q**(s(s-1)/2) [s]!."""
-    return hermite_squared_moment(m, s) / (
-        Scalar.q_power(s * (s - 1) // 2) * q_factorial(s)
-    )
+    """The moment oracle under the normalization q**(s(s-1)/2) [s]! = h_s: the path count c_2m(s)."""
+    return _path_count(m, s)
 
 
 def qhz_rhs(m: int, s: int) -> Scalar:

@@ -299,15 +299,19 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
     return max_vars, 2 * (max_weight // 2)
 
 
-# The caps keep the slowest request inside them at 13-19 s in a cold process
-# on a 2-vCPU machine, and one step past them took 19-30 s.  Caps on two bounds
-# are timed where both sit at their caps, the costliest request they admit; a
-# 2(m+s) cap is timed at the costliest (m, s) on its line:
+# The caps were set where the slowest request inside them took 13-19 s in a
+# cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
+# theorem1, theorem5 and qhz lines were re-timed on one machine after the
+# one-variable moments became path counts; the qhz and theorem1 caps now sit
+# below that range, and every bound stays until the caps are re-derived.  Caps
+# on two bounds are timed where both sit at their caps, the costliest request
+# they admit; a 2(m+s) cap is timed at the costliest (m, s) on its line:
 #   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23 (24: 26 s);
-#   theorem1 max_weight 12, max_vars 17: 15 s (max_vars 18: 19 s, max_weight 14: 30 s);
+#   theorem1 max_weight 12, max_vars 17: 6.3-7.3 s (max_vars 18: 8.9-11 s,
+#     max_weight 14: 20-21 s);
 #   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);
-#   theorem5 2(m+s) 52: 17-19 s at (17, 9) and (16, 10) (54: 21 s at (18, 9));
-#   qhz 2(m+s) 58: 15 s at (4, 25) and (3, 26) (60: 20-21 s at (4, 26), (5, 25));
+#   theorem5 2(m+s) 52: 11-13 s at (17, 9) and (16, 10) (54: 15-19 s at (18, 9));
+#   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
 #   theorem3 max_weight 14: 16-18 s at max_vars 5 (15: 20 s, 16: 31 s).
 # theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its
 # edge they take 5.2 and 5.0 s at (max_weight, max_vars) = (20, 5), 0.7 and

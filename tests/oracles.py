@@ -1,18 +1,23 @@
 """Independent brute-force oracles shared by the test modules.
 
-Nothing here reuses the library's determinant or operator routes: Schur
-polynomials come from tableau enumeration, multivariate determinants from
-explicit permutation expansion, map counts from first principles,
-polynomial gcds from Euclid's algorithm over Q, and Gaussian moments from
-the operator series telescoped one degree at a time.  Multivariate products
-work on exponent tuples, the representation the library packs away.
+Nothing here reuses the library's determinant, operator or path-count
+routes: Schur polynomials come from tableau enumeration, multivariate
+determinants from explicit permutation expansion, map counts from first
+principles, polynomial gcds from Euclid's algorithm over Q, and Gaussian
+moments from the operator series telescoped one degree at a time.
+Multivariate products work on exponent tuples, the representation the
+library packs away.  One-variable moments L(x**(2m) H_s**2) come from the
+product H_s * H_s under the functional L, the definition that the library's
+weighted path count on the Hermite Jacobi matrix replaces; this route shares
+only `hermite` and `functional_L` with the library.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm, prod
 
-from qgue import ONE, MonomialMap, XPoly, q_integer
+from qgue import ONE, MonomialMap, XPoly, functional_L, hermite, q_integer
 
 
 def double_factorial(n: int) -> int:
@@ -32,6 +37,18 @@ def telescoped_even_moments(k_max):
         step = q_integer(2 * k) * q_integer(2 * k - 1) / q_integer(2)
         mu.append(mu[-1] * step / q_integer(k, squared=True))
     return mu
+
+
+@lru_cache(maxsize=None)
+def _hermite_square(s):
+    hs = hermite(s)
+    return hs * hs
+
+
+@lru_cache(maxsize=None)
+def hermite_squared_by_product(m, s):
+    """L(x**(2m) H_s**2) from the XPoly product H_s * H_s."""
+    return functional_L(_hermite_square(s).shifted(2 * m))
 
 
 def ssyt_schur(parts, n_vars):

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from qgue import Scalar, evaluate_at, hermite_squared_moment, verify
-from qgue.cli import main
+from qgue.cli import AT_Q_MAX_DIGITS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,14 +233,18 @@ def test_moment_at_q_prints_values_past_the_digit_limit(capsys):
     assert code == 0 and len(out) > 2 * 4300 and Fraction(out) == value
 
 
-# not rational, or a numerator, denominator or decimal exponent past AT_Q_MAX_DIGITS
+# not rational, or a numerator, denominator or decimal exponent past AT_Q_MAX_DIGITS,
+# also where the literal is past Python's 4300-digit parsing limit
 @pytest.mark.parametrize(
-    "at_q", ["1/0", "half", "1e100", "1e-101", "1/" + "1" * 101, "1e" + "9" * 5000]
+    "at_q",
+    ["1/0", "half", "1e100", "1e-101", "1/" + "1" * 101, "1e" + "9" * 5000, "9" * 5000],
 )
-def test_moment_rejects_bad_at_q(at_q):
+def test_moment_rejects_bad_at_q(capsys, at_q):
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--power-sum", "2", "--n-vars", "2", "--at-q", at_q])
     assert exc.value.code == 2
+    reason = "a rational number" if at_q in ("1/0", "half") else f"at most {AT_Q_MAX_DIGITS} digits"
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

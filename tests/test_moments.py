@@ -5,6 +5,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgue import (
     ONE,
@@ -41,7 +43,12 @@ from qgue import (
     theorem5_rhs,
 )
 from qgue import moments, qxpoly
-from oracles import double_factorial, family_alternant, telescoped_even_moments
+from oracles import (
+    double_factorial,
+    family_alternant,
+    hermite_squared_by_product,
+    telescoped_even_moments,
+)
 
 P = Partition
 
@@ -98,8 +105,40 @@ def test_level_density_moment_matches_the_product_formula():
     total = ZERO
     for n in range(1, 7):
         hj = hermite(n - 1)
-        total = total + functional_L(p * hj * hj) / hermite_norm(n - 1)
+        total = total + functional_L(p * hj * hj) / hermite_squared_by_product(0, n - 1)
         assert level_density_moment(p, n) == total
+    assert level_density_moment(XPoly.zero(), 3) == ZERO
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.integers(0, 17))
+@example(6, 16)
+@example(6, 17)
+def test_jacobi_walk_matches_the_product_route(m, s):
+    # every reader of the path count c_2m(s) against L(x^2m H_s^2) from H_s * H_s,
+    # with each normalization h_j = L(H_j^2) taken from the product as well
+    want = hermite_squared_by_product(m, s)
+    ratio = want / hermite_squared_by_product(0, s)
+    assert hermite_squared_moment(m, s) == want
+    assert qhz_lhs(m, s) == ratio
+    assert theorem5_lhs(m, s) == want / hermite_squared_by_product(0, s + 1)
+    # the level density over s + 1 variables adds the term j = s to the one over s
+    p = XPoly.x_power(2 * m)
+    below = level_density_moment(p, s) if s else ZERO
+    assert level_density_moment(p, s + 1) - below == ratio
+
+
+def test_hermite_squared_moment_needs_no_hermite_polynomial():
+    # the path count runs on int lists: no H_s is built and no XPoly is multiplied
+    want = hermite_squared_by_product(2, 6)
+    moments._walk.cache_clear()
+    with mock.patch.object(qxpoly, "hermite", side_effect=AssertionError("hermite")):
+        with mock.patch.object(XPoly, "__mul__", side_effect=AssertionError("XPoly product")):
+            assert hermite_squared_moment(2, 6) == want
+            assert hermite_norm(6) == hermite_squared_by_product(0, 6)
+    for call in (lambda: hermite_squared_moment(-1, 2), lambda: qhz_lhs(1, -1), lambda: hermite_norm(-1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_gaussian_moments_match_closed_form():
