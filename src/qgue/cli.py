@@ -80,6 +80,11 @@ def _parse_int_pair(text: str, flag: str):
     return a, b
 
 
+def _shown(text: str) -> str:
+    # a long literal is echoed as a prefix and its length, so the error stays one short line
+    return repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
+
+
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
@@ -87,7 +92,7 @@ def _positive_int(text: str) -> int:
             return n
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(text)}")
 
 
 def _rational(text: str) -> Fraction:
@@ -101,10 +106,11 @@ def _rational(text: str) -> Fraction:
         too_big = digits > AT_Q_MAX_DIGITS or (exponent and abs(int(exponent)) > AT_Q_MAX_DIGITS)
         value = None if too_big else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {_shown(text)}")
     if value is None or max(abs(value.numerator), value.denominator) >= 10**AT_Q_MAX_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"expected at most {AT_Q_MAX_DIGITS} digits in numerator and denominator, got {text!r}"
+            f"expected at most {AT_Q_MAX_DIGITS} digits in numerator and denominator, "
+            f"got {_shown(text)}"
         )
     return value
 

@@ -4,15 +4,19 @@ q-Hermite / shadow-Hermite families.
 `XPoly` takes its ring-generic operations from `exactq._Dense`, the base of
 `QPolynomial`, and adds only its Scalar product, x-powers and rendering.
 
-The two operator series and their images of x**n:
+The two Gaussian operators and their images of x**n:
 
     forward  = E(-D_q^2/(1+q), q^2)   sends x**n to the q-Hermite H_n
     inverse  = e(D_q^2/(1+q), q^2)    sends x**n to the shadow S_n
 
-They are mutually inverse, which is what makes coefficient extraction in
-the H-basis (and the moment functional L) computable.  L is the constant
-term of the inverse image, and only that term is computed: it is the sum
-of p_{2k} M_q(2k-1) over the even coefficients of p (see `functional_L`).
+so by linearity they send p to sum p_n H_n and sum p_n S_n, and that is
+how `gaussian_op` computes them, from the cached families.  The power
+series in D_q^2/(1+q) that defines them is kept in `tests/oracles.py` as
+the tests' reference.  The operators are mutually inverse, which is what
+makes coefficient extraction in the H-basis (and the moment functional L)
+computable.  L is the constant term of the inverse image, and only that
+term is computed: it is the sum of p_{2k} M_q(2k-1) over the even
+coefficients of p (see `functional_L`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict
 
-from .exactq import ONE, ZERO, Scalar, _Dense, m_q, q_binomial, q_integer, series_coefficient
+from .exactq import ONE, ZERO, Scalar, _Dense, m_q, q_binomial, q_integer
 
 __all__ = [
     "XPoly",
@@ -96,40 +100,22 @@ def q_derivative(p: XPoly) -> XPoly:
     return XPoly(tuple(p.coeffs[n] * q_integer(n) for n in range(1, len(p.coeffs))))
 
 
-@lru_cache(maxsize=None)
-def _drop2_factor(n: int) -> Scalar:
-    # [n+2]_q [n+1]_q / (1+q); one of the two numerator factors is even-indexed,
-    # so the quotient is again a polynomial
-    return q_integer(n + 2) * q_integer(n + 1) / q_integer(2)
-
-
-def _half_second_derivative(p: XPoly) -> XPoly:
-    """Apply D_q^2/(1+q)."""
-    return XPoly(tuple(p.coeffs[n + 2] * _drop2_factor(n) for n in range(len(p.coeffs) - 2)))
-
-
 def gaussian_op(p: XPoly, direction: str = "forward") -> XPoly:
     """Apply E(-D_q^2/(1+q), q^2) (forward) or e(D_q^2/(1+q), q^2) (inverse).
 
-    The series terminates after deg(p)//2 applications of D_q^2, so this is a
-    finite exact computation.
+    The forward operator sends x**n to H_n and the inverse one sends x**n to
+    S_n, so the images are sum p_n H_n and sum p_n S_n.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    which = "E" if direction == "forward" else "e"
-    total = p
-    v = p
-    k = 0
-    while True:
-        k += 1
-        v = _half_second_derivative(v)
-        if v.is_zero:
-            break
-        c = series_coefficient(k, which, squared=True)
-        if direction == "forward" and k % 2:
-            c = -c
-        total = total + v.scale(c)
-    return total
+    family = hermite if direction == "forward" else shadow_hermite
+    out = [ZERO] * len(p.coeffs)
+    for n, c in enumerate(p.coeffs):
+        if not c.is_zero:
+            for k, f in enumerate(family(n).coeffs):
+                if not f.is_zero:
+                    out[k] = out[k] + c * f
+    return XPoly(out)
 
 
 @lru_cache(maxsize=None)

@@ -301,12 +301,13 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
-# theorem1, theorem5 and qhz lines were re-timed on one machine after the
-# one-variable moments became path counts; the qhz and theorem1 caps now sit
-# below that range, and every bound stays until the caps are re-derived.  Caps
-# on two bounds are timed where both sit at their caps, the costliest request
-# they admit; a 2(m+s) cap is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23 (24: 26 s);
+# theorem1, theorem5, qhz and truncation lines were re-timed on one machine
+# after the one-variable moments became path counts and the Gaussian operators
+# family combinations; the qhz, theorem1 and truncation caps now sit below that
+# range, and every bound stays until the caps are re-derived.  Caps on two
+# bounds are timed where both sit at their caps, the costliest request they
+# admit; a 2(m+s) cap is timed at the costliest (m, s) on its line:
+#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23: 4.9-5.4 s (24: 7.4-8.2 s);
 #   theorem1 max_weight 12, max_vars 17: 6.3-7.3 s (max_vars 18: 8.9-11 s,
 #     max_weight 14: 20-21 s);
 #   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);

@@ -4,7 +4,10 @@ Nothing here reuses the library's determinant, operator or path-count
 routes: Schur polynomials come from tableau enumeration, multivariate
 determinants from explicit permutation expansion, map counts from first
 principles, polynomial gcds from Euclid's algorithm over Q, and Gaussian
-moments from the operator series telescoped one degree at a time.
+moments from the operator series telescoped one degree at a time.  The
+Gaussian operators themselves come from `operator_series`, their defining
+power series in D_q^2/(1+q), which the library's combinations of the
+Hermite and shadow families replace; it shares no family with them.
 Multivariate products work on exponent tuples, the representation the
 library packs away.  One-variable moments L(x**(2m) H_s**2) come from the
 product H_s * H_s under the functional L, the definition that the library's
@@ -17,7 +20,16 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm, prod
 
-from qgue import ONE, MonomialMap, XPoly, functional_L, hermite, q_integer
+from qgue import (
+    ONE,
+    MonomialMap,
+    Scalar,
+    XPoly,
+    functional_L,
+    hermite,
+    q_integer,
+    series_coefficient,
+)
 
 
 def double_factorial(n: int) -> int:
@@ -37,6 +49,42 @@ def telescoped_even_moments(k_max):
         step = q_integer(2 * k) * q_integer(2 * k - 1) / q_integer(2)
         mu.append(mu[-1] * step / q_integer(k, squared=True))
     return mu
+
+
+@lru_cache(maxsize=None)
+def _drop2_factor(n: int) -> Scalar:
+    # [n+2]_q [n+1]_q / (1+q); one of the two numerator factors is even-indexed,
+    # so the quotient is again a polynomial
+    return q_integer(n + 2) * q_integer(n + 1) / q_integer(2)
+
+
+def _half_second_derivative(p: XPoly) -> XPoly:
+    """Apply D_q^2/(1+q)."""
+    return XPoly(tuple(p.coeffs[n + 2] * _drop2_factor(n) for n in range(len(p.coeffs) - 2)))
+
+
+def operator_series(p: XPoly, direction: str = "forward") -> XPoly:
+    """Apply E(-D_q^2/(1+q), q^2) (forward) or e(D_q^2/(1+q), q^2) (inverse).
+
+    The series terminates after deg(p)//2 applications of D_q^2, so this is a
+    finite exact computation.
+    """
+    if direction not in ("forward", "inverse"):
+        raise ValueError("direction must be 'forward' or 'inverse'")
+    which = "E" if direction == "forward" else "e"
+    total = p
+    v = p
+    k = 0
+    while True:
+        k += 1
+        v = _half_second_derivative(v)
+        if v.is_zero:
+            break
+        c = series_coefficient(k, which, squared=True)
+        if direction == "forward" and k % 2:
+            c = -c
+        total = total + v.scale(c)
+    return total
 
 
 @lru_cache(maxsize=None)

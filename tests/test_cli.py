@@ -217,11 +217,13 @@ def test_table_guardrail(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("n_vars", ["0", "-3", "two"])
-def test_moment_rejects_non_positive_n_vars(n_vars):
+@pytest.mark.parametrize("n_vars", ["0", "-3", "two", "x" * 5000])
+def test_moment_rejects_non_positive_n_vars(capsys, n_vars):
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--power-sum", "2", "--n-vars", n_vars])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "a positive integer" in err and all(len(line) < 200 for line in err.splitlines())
 
 
 def test_moment_at_q_prints_values_past_the_digit_limit(capsys):
@@ -244,7 +246,8 @@ def test_moment_rejects_bad_at_q(capsys, at_q):
         main(["moment", "--power-sum", "2", "--n-vars", "2", "--at-q", at_q])
     assert exc.value.code == 2
     reason = "a rational number" if at_q in ("1/0", "half") else f"at most {AT_Q_MAX_DIGITS} digits"
-    assert reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert reason in err and all(len(line) < 200 for line in err.splitlines())
 
 
 @pytest.mark.parametrize(

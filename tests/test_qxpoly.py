@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,8 @@ from qgue import (
     truncated_shadow,
 )
 
-from oracles import telescoped_even_moments
+from qgue import qxpoly
+from oracles import operator_series, telescoped_even_moments
 
 x = XPoly.x_power
 
@@ -46,6 +48,19 @@ def test_gaussian_op_examples():
     assert gaussian_op(x(2), "inverse") == x(2) + XPoly.one()
     with pytest.raises(ValueError):
         gaussian_op(x(2), "backward")
+
+
+def test_gaussian_op_reads_the_families():
+    # the forward image is built from hermite and the inverse one from shadow_hermite
+    want = {d: operator_series(x(3), d) for d in ("forward", "inverse")}
+    for direction, family, other in (
+        ("forward", "hermite", "inverse"),
+        ("inverse", "shadow_hermite", "forward"),
+    ):
+        with mock.patch.object(qxpoly, family, side_effect=AssertionError(family)):
+            with pytest.raises(AssertionError, match=family):
+                gaussian_op(x(3), direction)
+            assert gaussian_op(x(3), other) == want[other]
 
 
 def test_gaussian_op_round_trip():
@@ -150,7 +165,7 @@ def test_shadow_examples():
 
 def test_shadow_is_inverse_operator_image():
     for n in range(13):
-        assert shadow_hermite(n) == gaussian_op(x(n), "inverse")
+        assert shadow_hermite(n) == operator_series(x(n), "inverse")
 
 
 def test_truncated_shadow_examples():
@@ -199,7 +214,7 @@ def test_functional_L():
     assert functional_L(hermite(2) * hermite(2)) == Scalar.q_power(1) * q_factorial(2)
     # functional_L reads m_q, so the reference is the whole operator series
     for n in range(32):
-        expected = gaussian_op(x(n), "inverse").constant_term
+        expected = operator_series(x(n), "inverse").constant_term
         assert functional_L(x(n)) == expected
         assert expected == (m_q(n - 1) if n % 2 == 0 else ZERO)
 
@@ -226,7 +241,19 @@ odd_xpoly = st.lists(scalar, max_size=8).map(
 def test_functional_L_is_constant_term_of_inverse_op(p):
     # L reads only the x^0 term of the inverse operator; the reference
     # builds the whole image
-    assert functional_L(p) == gaussian_op(p, "inverse").constant_term
+    assert functional_L(p) == operator_series(p, "inverse").constant_term
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(xpoly, odd_xpoly))
+@example(XPoly.zero())
+@example(  # degree 23, past the strategies' reach
+    XPoly([Scalar.from_fraction(Fraction((-1) ** n * (n + 1), n % 5 + 1)) / q_integer(n % 3 + 1)
+           for n in range(24)])
+)
+def test_gaussian_op_matches_operator_series(p):
+    for direction in ("forward", "inverse"):
+        assert gaussian_op(p, direction) == operator_series(p, direction)
 
 
 def test_hermite_orthogonality():

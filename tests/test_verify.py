@@ -138,6 +138,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("all_w4_v2_n3.json", ["all"], {"max_weight": 4, "max_vars": 2, "max_n": 3}),
         # theorem3 with only one of its two bounds given
         ("theorem3_w4.json", ["theorem3"], {"max_weight": 4}),
+        # the direct truncation route and the theorem2 fast route at max_n 12
+        ("truncation_theorem2_n12.json", ["truncation", "theorem2"], {"max_n": 12}),
     ],
 )
 def test_report_matches_golden_bytes(golden, suites, bounds):
