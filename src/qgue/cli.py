@@ -40,8 +40,9 @@ from .verify import (
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
 # or closed --schur or --power-sum request; the coefficient minor's cost grows
-# with both (slowest inside them: 0.6-0.7 s in a cold process on a 2-vCPU
-# machine, for kappa = 3,2,1,1,1,1,1,1,1 at N = 21 and p_12 at N = 12)
+# with both (slowest inside them: 0.5-0.7 s in a cold process on a 2-vCPU
+# machine, for kappa = 3,2,1,1,1,1,1,1,1 at N = 21 and p_12 at N = 12, and
+# 0.5 s for 1^12 at N = 23)
 MOMENT_MAX_DEGREE = 23
 MOMENT_MAX_WEIGHT = 12
 # bound on the digits of the numerator and the denominator of --at-q, and on a
@@ -50,6 +51,11 @@ MOMENT_MAX_WEIGHT = 12
 # over 100-digit point prints 174 kB in 0.80-0.84 s, against 0.12-0.20 s
 # without --at-q, in a cold process on a 2-vCPU machine)
 AT_Q_MAX_DIGITS = 100
+# bound on the digits of every other integer literal: the --schur parts and the
+# values of --power-sum, --hermite-sq, --n-vars, --max-weight, --max-vars,
+# --max-n and --max-m.  It lies far past every request bound, and it keeps a
+# refusal that echoes such a value, or the sum of two, one short line.
+INT_MAX_DIGITS = 30
 
 CLOSED_FORM_BANNER = (
     "warning: closed-form evaluators are unverified transcriptions of printed "
@@ -72,27 +78,51 @@ def _render_value(value, args, query) -> str:
     return str(value) + "\n"
 
 
-def _parse_int_pair(text: str, flag: str):
-    try:
-        a, b = (int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects two comma-separated integers")
-    return a, b
-
-
 def _shown(text: str) -> str:
     # a long literal is echoed as a prefix and its length, so the error stays one short line
     return repr(text) if len(text) <= 40 else f"{text[:12]!r}... ({len(text)} characters)"
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, kind: str = "an integer") -> int:
+    # the digits are counted before int() parses them, as in _rational, so that
+    # no literal meets Python's 4300-digit parsing limit or echoes whole in a refusal
+    if sum(c.isdigit() for c in text) > INT_MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"expected {kind} of at most {INT_MAX_DIGITS} digits, got {_shown(text)}"
+        )
     try:
-        n = int(text)
-        if n >= 1:
-            return n
+        return int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(text)}")
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {_shown(text)}") from None
+
+
+def _positive_int(text: str) -> int:
+    n = _integer(text, "a positive integer")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(text)}")
+    return n
+
+
+def _parse_int_pair(text: str, flag: str):
+    try:
+        a, b = (_integer(p) for p in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"{flag} expects two comma-separated integers of at most {INT_MAX_DIGITS} digits"
+        ) from None
+    return a, b
+
+
+def _partition(text: str) -> Partition:
+    # each part goes through _integer, so a refusal echoes the literal short
+    text = text.strip()
+    try:
+        return Partition(_integer(p) for p in text.split(",")) if text else Partition()
+    except argparse.ArgumentTypeError:
+        raise ValueError(
+            f"partition must be comma-separated integers of at most {INT_MAX_DIGITS} digits, "
+            f"got {_shown(text)}"
+        ) from None
 
 
 def _rational(text: str) -> Fraction:
@@ -160,7 +190,7 @@ def cmd_moment(args) -> int:
             value = integrate_power_sum(m, n_vars, args.method)
         return _emit(value, args, query)
 
-    kappa = Partition.from_string(args.schur)
+    kappa = _partition(args.schur)
     if args.method != "oracle":
         _check_moment_size(n_vars, kappa.part(0), kappa.weight)
     query.update({"kind": "schur", "partition": str(kappa)})
@@ -260,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="compute one exact moment")
     what = p.add_mutually_exclusive_group(required=True)
     what.add_argument("--schur", metavar="PARTS", help='Schur moment, e.g. "3,1"')
-    what.add_argument("--power-sum", type=int, metavar="2M", help="power-sum moment p_{2m}")
+    what.add_argument("--power-sum", type=_integer, metavar="2M", help="power-sum moment p_{2m}")
     what.add_argument(
         "--hermite-sq",
         type=lambda t: _parse_int_pair(t, "--hermite-sq"),
@@ -284,16 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + SUITE_NAMES,
         help="suite to run (repeatable; default all)",
     )
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-weight", type=_integer, default=None)
+    p.add_argument("--max-vars", type=_integer, default=None)
+    p.add_argument("--max-n", type=_integer, default=None)
     p.add_argument("--report", metavar="FILE", help="write the JSON report here")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="one-face map counts by genus at q = 1")
     p.add_argument("--harer-zagier", action="store_true", help="emit the genus table")
-    p.add_argument("--max-m", type=int, default=3, metavar="M", help=f"rows (M <= {GENUS_MAX_M})")
+    p.add_argument(
+        "--max-m", type=_integer, default=3, metavar="M", help=f"rows (M <= {GENUS_MAX_M})"
+    )
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p.set_defaults(func=cmd_table)
     return parser

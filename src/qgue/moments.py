@@ -398,7 +398,8 @@ def _interpolate(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
 
 def genus_table(max_m: int) -> List[GenusRow]:
     """For each m <= max_m, the genus expansion of the 2m-th power-sum moment
-    at q = 1 as a polynomial in N, cross-checked against direct enumeration."""
+    at q = 1 as a polynomial in N, cross-checked against direct enumeration.
+    The moment is read from the walk, as the level density moment of x**(2m)."""
     if max_m < 1:
         raise ValueError("genus_table needs max_m >= 1")
     if max_m > GENUS_MAX_M:
@@ -408,7 +409,7 @@ def genus_table(max_m: int) -> List[GenusRow]:
         xs = list(range(m + 2))
         ys = [Fraction(0)]
         for N in range(1, m + 2):
-            ys.append(evaluate_at(integrate_power_sum(m, N), 1))
+            ys.append(evaluate_at(level_density_moment(XPoly.x_power(2 * m), N), 1))
         table: Dict[int, int] = {}
         for k, c in enumerate(_interpolate(xs, ys)):
             if c == 0:

@@ -10,9 +10,10 @@ The two Gaussian operators and their images of x**n:
     inverse  = e(D_q^2/(1+q), q^2)    sends x**n to the shadow S_n
 
 so by linearity they send p to sum p_n H_n and sum p_n S_n, and that is
-how `gaussian_op` computes them, from the cached families.  The power
-series in D_q^2/(1+q) that defines them is kept in `tests/oracles.py` as
-the tests' reference.  The operators are mutually inverse, which is what
+how `gaussian_op` computes them, from the cached H_n and the cached closed
+form [x**e] S_n = [n over e]_q M_q(n-e-1).  The power series in
+D_q^2/(1+q) that defines them is kept in `tests/oracles.py` as the tests'
+reference.  The operators are mutually inverse, which is what
 makes coefficient extraction in the H-basis (and the moment functional L)
 computable.  L is the constant term of the inverse image, and only that
 term is computed: it is the sum of p_{2k} M_q(2k-1) over the even
@@ -133,14 +134,17 @@ def hermite(n: int) -> XPoly:
 
 
 @lru_cache(maxsize=None)
+def _shadow_coefficient(n: int, e: int) -> Scalar:
+    """[x**e] S_n = [n over e]_q M_q(n-e-1), zero unless n - e is even and nonnegative."""
+    d = n - e
+    return ZERO if d < 0 or d % 2 else q_binomial(n, d) * m_q(d - 1)
+
+
 def shadow_hermite(n: int) -> XPoly:
     """The shadow polynomial S_n: sum over k of [n over 2k]_q M_q(2k-1) x**(n-2k)."""
     if n < 0:
         raise ValueError("shadow_hermite needs n >= 0")
-    coeffs = [ZERO] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = q_binomial(n, 2 * k) * m_q(2 * k - 1)
-    return XPoly(coeffs)
+    return XPoly([_shadow_coefficient(n, e) for e in range(n + 1)])
 
 
 def truncated_shadow(N: int, ell: int) -> XPoly:

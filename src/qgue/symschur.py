@@ -30,7 +30,7 @@ from itertools import chain, permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
-from .qxpoly import XPoly, hermite, shadow_hermite
+from .qxpoly import XPoly, _shadow_coefficient
 
 __all__ = [
     "ShapeError",
@@ -40,10 +40,7 @@ __all__ = [
     "hook_partition",
     "MonomialMap",
     "SchurVector",
-    "monomial_family",
     "binomial_family",
-    "hermite_family",
-    "shadow_family",
     "schur_monomials",
     "vandermonde",
     "family_expand",
@@ -80,9 +77,9 @@ class Partition:
             ps.pop()
         for a, b in zip(ps, ps[1:]):
             if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {ps}")
+                raise ValueError(f"parts must be weakly decreasing, got {a} before {b}")
         if ps and ps[-1] < 0:
-            raise ValueError(f"parts must be nonnegative: {ps}")
+            raise ValueError(f"parts must be nonnegative, got {ps[-1]}")
         self.parts = tuple(ps)
 
     @classmethod
@@ -344,10 +341,7 @@ class SchurVector:
 
 # a polynomial family is any generator of monic degree-n univariate polynomials
 PolyFamily = Callable[[int], XPoly]
-
-
-def monomial_family(n: int) -> XPoly:
-    return XPoly.x_power(n)
+CoefficientFn = Callable[[int, int], Scalar]  # coefficient(n, e) = [x**e] f_n of a monic family
 
 
 @lru_cache(maxsize=None)
@@ -356,25 +350,18 @@ def binomial_family(n: int) -> XPoly:
     return (XPoly.x_power(1) + XPoly.one()) ** n
 
 
-def hermite_family(n: int) -> XPoly:
-    return hermite(n)
-
-
-def shadow_family(n: int) -> XPoly:
-    return shadow_hermite(n)
-
-
-def _family_polys(fam: PolyFamily, kappa: Partition, n_vars: int) -> List[XPoly]:
+def _family_coefficients(fam: PolyFamily, kappa: Partition, n_vars: int) -> CoefficientFn:
+    """The coefficients of fam's columns of F_kappa, each checked monic of its degree."""
     if kappa.length > n_vars:
         raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
-    polys = []
+    polys = {}
     for col in range(n_vars):
         deg = kappa.part(col) + n_vars - 1 - col
         f = fam(deg)
         if f.degree != deg or not f.is_monic:
             raise ValueError(f"family generator must be monic of degree {deg}")
-        polys.append(f)
-    return polys
+        polys[deg] = f
+    return lambda n, e: polys[n].coefficient(e)
 
 
 def det(matrix: List[List[Scalar]]) -> Scalar:
@@ -406,14 +393,20 @@ def det(matrix: List[List[Scalar]]) -> Scalar:
     return -d if sign < 0 else d
 
 
-def _coefficient_minor(polys: List[XPoly], kappa: Partition, lam: Partition) -> Scalar:
+def _coefficient_minor(
+    coefficient: CoefficientFn, n_vars: int, kappa: Partition, lam: Partition
+) -> Scalar:
     """The s_lambda coefficient of F_kappa for lambda inside kappa: det C with
-    C[j][l] = [x**(lambda_j + N - 1 - j)] polys[l].  A column l >= len(kappa) is
-    monic of degree N - 1 - l, so it is zero above row l and 1 on row l; C is
-    block lower triangular with a unit block, and det C is its leading
-    len(kappa) x len(kappa) minor, the only part built here."""
-    exps = [lam.part(row) + len(polys) - 1 - row for row in range(kappa.length)]
-    return det([[f.coefficient(e) for f in polys[: kappa.length]] for e in exps])
+    C[j][l] = coefficient(kappa_l + N - 1 - l, lambda_j + N - 1 - j).  A column
+    l >= len(kappa) is monic of degree N - 1 - l, so it is zero above row l and
+    1 on row l; C is block lower triangular with a unit block, and det C is its
+    leading len(kappa) x len(kappa) minor, the only part read here."""
+    if kappa.length > n_vars:
+        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
+    size = range(kappa.length)
+    degrees = [kappa.part(col) + n_vars - 1 - col for col in size]
+    exponents = [lam.part(row) + n_vars - 1 - row for row in size]
+    return det([[coefficient(n, e) for n in degrees] for e in exponents])
 
 
 def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector:
@@ -423,10 +416,10 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
     C[j][l] = [x**(lambda_j + N - j)] fam(kappa_l + N - l); only lambda with
     diagram inside kappa can appear and the leading coefficient is 1.
     """
-    polys = _family_polys(fam, kappa, n_vars)
+    coefficient = _family_coefficients(fam, kappa, n_vars)
     entries: Dict[Partition, Scalar] = {}
     for lam in kappa.subdiagrams():
-        d = _coefficient_minor(polys, kappa, lam)
+        d = _coefficient_minor(coefficient, n_vars, kappa, lam)
         if not d.is_zero:
             entries[lam] = d
     return SchurVector(entries, n_vars)
@@ -434,8 +427,9 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
 
 @lru_cache(maxsize=None)
 def sigma_at_zero(kappa: Partition, n_vars: int) -> Scalar:
-    """The empty-partition coefficient of the shadow family expansion of kappa."""
-    return _coefficient_minor(_family_polys(shadow_family, kappa, n_vars), kappa, Partition())
+    """The empty-partition coefficient of the shadow family expansion of kappa:
+    the minor of shadow coefficients, read from their closed form."""
+    return _coefficient_minor(_shadow_coefficient, n_vars, kappa, Partition())
 
 
 def hook_decomposition(m: int, n_vars: int) -> List[Tuple[int, Partition]]:
@@ -523,5 +517,5 @@ def check_oracle_size(n_vars: int, degree: int) -> None:
 
 def generalized_binomial(lam: Partition, kappa: Partition, n_vars: int) -> Scalar:
     """The kappa-coefficient of the (x+1)**n family expansion of lambda."""
-    polys = _family_polys(binomial_family, lam, n_vars)
-    return _coefficient_minor(polys, lam, kappa) if lam.contains(kappa) else ZERO
+    coefficient = _family_coefficients(binomial_family, lam, n_vars)
+    return _coefficient_minor(coefficient, n_vars, lam, kappa) if lam.contains(kappa) else ZERO

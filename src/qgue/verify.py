@@ -234,11 +234,14 @@ def _qhz(max_weight: int, max_s: int) -> Iterator[PointResult]:
 
 
 def _truncation(max_total: int) -> Iterator[PointResult]:
+    directs: Dict[Tuple[int, int], Dict[int, Scalar]] = {}  # kept from the closed pass
     for variant in ("closed", "printed"):
         for n in range(1, max_total):
             for ell in range(1, max_total + 1 - n):
                 params = (("N", n), ("ell", ell), ("variant", variant))
-                direct = truncated_in_shadow_basis(n, ell, "direct")
+                if (n, ell) not in directs:
+                    directs[n, ell] = truncated_in_shadow_basis(n, ell, "direct")
+                direct = directs[n, ell]
                 other = truncated_in_shadow_basis(n, ell, variant)
                 if direct == other:
                     yield PointResult(params, "equal")
@@ -301,16 +304,18 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
-# theorem1, theorem5, qhz and truncation lines were re-timed on one machine
-# after the one-variable moments became path counts and the Gaussian operators
-# family combinations; the qhz, theorem1 and truncation caps now sit below that
-# range, and every bound stays until the caps are re-derived.  Caps on two
-# bounds are timed where both sit at their caps, the costliest request they
-# admit; a 2(m+s) cap is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23: 4.9-5.4 s (24: 7.4-8.2 s);
-#   theorem1 max_weight 12, max_vars 17: 6.3-7.3 s (max_vars 18: 8.9-11 s,
-#     max_weight 14: 20-21 s);
-#   theorem2 max_vars 8, max_ell 17: 13 s (max_vars 9: 30 s);
+# theorem5 and qhz lines were re-timed on one machine after the one-variable
+# moments became path counts, and the theorem1, theorem2 and truncation lines
+# after the fast Schur integral read the shadow coefficients from their closed
+# form and the truncation suite built each direct map once; the qhz, theorem1
+# and truncation caps now sit below that range, and every bound stays until the
+# caps are re-derived.  Caps on two bounds are timed where both sit at their
+# caps, the costliest request they admit; a 2(m+s) cap is timed at the
+# costliest (m, s) on its line:
+#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23: 3.9-4.5 s (24: 4.8-5.5 s);
+#   theorem1 max_weight 12, max_vars 17: 7.1-8.3 s (max_vars 18: 9.1-10.5 s,
+#     max_weight 14: 18-20 s);
+#   theorem2 max_vars 8, max_ell 17: 10.5-11.9 s (max_vars 9: 19.6-20.6 s);
 #   theorem5 2(m+s) 52: 11-13 s at (17, 9) and (16, 10) (54: 15-19 s at (18, 9));
 #   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
 #   theorem3 max_weight 14: 16-18 s at max_vars 5 (15: 20 s, 16: 31 s).

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from qgue import Scalar, evaluate_at, hermite_squared_moment, verify
-from qgue.cli import AT_Q_MAX_DIGITS, main
+from qgue.cli import AT_Q_MAX_DIGITS, INT_MAX_DIGITS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,7 +136,10 @@ def test_moment_errors(capsys):
     for text in ("1,,1", "a"):
         code, _, err = run(capsys, "moment", "--schur", text)
         assert code == 2
-        assert err == f"error: partition must be comma-separated integers, got '{text}'\n"
+        assert err == (
+            f"error: partition must be comma-separated integers of at most {INT_MAX_DIGITS} "
+            f"digits, got '{text}'\n"
+        )
     with pytest.raises(SystemExit) as exc:
         main(["moment"])
     assert exc.value.code == 2
@@ -248,6 +251,35 @@ def test_moment_rejects_bad_at_q(capsys, at_q):
     reason = "a rational number" if at_q in ("1/0", "half") else f"at most {AT_Q_MAX_DIGITS} digits"
     err = capsys.readouterr().err
     assert reason in err and all(len(line) < 200 for line in err.splitlines())
+
+
+# every integer literal the CLI parses, in each place it can take one
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-weight", "{}"],
+        ["verify", "--max-vars", "{}"],
+        ["verify", "--max-n", "{}"],
+        ["table", "--harer-zagier", "--max-m", "{}"],
+        ["moment", "--power-sum", "{}"],
+        ["moment", "--hermite-sq", "1,{}"],
+        ["moment", "--schur", "1", "--n-vars", "{}"],
+        ["moment", "--schur", "{}"],
+        ["moment", "--schur", "{}", "--method", "oracle"],
+        ["moment", "--schur", "1,x{}"],
+    ],
+)
+@pytest.mark.parametrize("literal", ["9" * 5000, "x" * 5000])
+def test_long_integer_literals_are_refused_in_short_lines(capsys, argv, literal):
+    # Python's 4300-digit parsing limit refuses 5000 nines only until an earlier
+    # in-process main() lifts it, so a literal that is not a number is covered too
+    try:
+        code = main([a.format(literal) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    reason = f"of at most {INT_MAX_DIGITS} digits" if literal[-1] == "9" else "integer"
+    assert code == 2 and reason in err and all(len(line) < 200 for line in err.splitlines())
 
 
 @pytest.mark.parametrize(

@@ -267,10 +267,18 @@ def test_genus_table_rejects_non_integer_interpolant(monkeypatch):
 
     # a moment of N/2 interpolates to the coefficient 1/2, not a genus count
     monkeypatch.setattr(
-        qgue.moments, "integrate_power_sum", lambda m, N: Scalar.from_fraction(Fraction(N, 2))
+        qgue.moments, "level_density_moment", lambda p, N: Scalar.from_fraction(Fraction(N, 2))
     )
     with pytest.raises(ArithmeticError):
         genus_table(1)
+
+
+def test_genus_table_walk_agrees_with_determinant_route():
+    # the table reads the walk; at q = 1 the power-sum determinants give the same values
+    for m in range(1, 7):
+        for n in range(1, m + 2):
+            walk = level_density_moment(XPoly.x_power(2 * m), n)
+            assert evaluate_at(walk, 1) == evaluate_at(integrate_power_sum(m, n), 1)
 
 
 def test_integrate_power_sum_routes_agree():

@@ -163,6 +163,14 @@ def test_shadow_examples():
     assert shadow_hermite(4) == expected
 
 
+def test_shadow_is_monic_of_its_degree():
+    # the fast Schur integral reads only a leading minor of shadow coefficients,
+    # which is exact because every S_n is monic of degree n
+    for n in range(41):
+        s = shadow_hermite(n)
+        assert s.degree == n and s.is_monic
+
+
 def test_shadow_is_inverse_operator_image():
     for n in range(13):
         assert shadow_hermite(n) == operator_series(x(n), "inverse")

@@ -17,14 +17,14 @@ PUBLIC_NAMES = [
     "ShapeError", "SizeError", "SuiteResult", "XPoly", "ZERO", "apply_M0", "apply_M2",
     "binomial_family", "det", "evaluate_at", "family_expand", "functional_L",
     "gaussian_moment", "gaussian_op", "generalized_binomial", "genus_table",
-    "has_discrepancies", "hermite", "hermite_expand", "hermite_family", "hermite_norm",
+    "has_discrepancies", "hermite", "hermite_expand", "hermite_norm",
     "hermite_squared_moment", "hook_decomposition", "hook_moment_closed_form",
     "hook_partition", "integrate_power_sum", "integrate_schur", "integrate_symmetric",
-    "level_density_moment", "m_q", "monomial_family", "normalization", "p2m_closed_form",
+    "level_density_moment", "m_q", "normalization", "p2m_closed_form",
     "pairing_genus_counts", "partitions", "power_sum_monomials", "power_sum_vector",
     "q_binomial", "q_derivative", "q_factorial", "q_integer", "qhz_lhs", "qhz_rhs",
     "render_json", "report_to_json", "schur_monomials", "series_coefficient",
-    "shadow_family", "shadow_hermite", "sigma_at_zero", "sigma_closed_form",
+    "shadow_hermite", "sigma_at_zero", "sigma_closed_form",
     "summary_table", "theorem5_lhs", "theorem5_rhs", "truncated_in_shadow_basis",
     "truncated_shadow", "vandermonde", "verify_suite",
 ]
@@ -175,3 +175,46 @@ def test_one_square_and_multiply_loop():
         if isinstance(func, ast.FunctionDef) and _squares_in_a_loop(func)
     ]
     assert [entry.split()[-1] for entry in found] == ["_power"], found
+
+
+def _exported():
+    """Each module's tree with its __all__ names, and the union of those names."""
+    out = []
+    for path, tree in _trees():
+        stem = path.stem
+        module = importlib.import_module("qgue" if stem == "__init__" else f"qgue.{stem}")
+        out.append((path, tree, set(getattr(module, "__all__", ()))))
+    return out, set().union(*(names for _, _, names in out))
+
+
+def _dotted(node):
+    """"a.b.c" for a Name or an Attribute chain on a Name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_no_public_pass_through_wrappers():
+    # a public function whose whole body is `return g(its own arguments)`, for
+    # another public function g (or a method of a public class), only renames
+    # g; callers pass g itself
+    modules, public = _exported()
+    found = []
+    for path, tree, names in modules:
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or func.name not in names:
+                continue
+            body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not isinstance(call, ast.Call) or call.keywords:
+                continue
+            target = _dotted(call.func)
+            params = [a.arg for a in func.args.args]
+            args = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+            if target and target.split(".")[0] in public - {func.name} and args == params:
+                found.append(f"{path.name}:{func.lineno} {func.name} -> {target}")
+    assert not found, f"public pass-through wrappers: {found}"

@@ -25,18 +25,19 @@ from qgue import (
     functional_L,
     gaussian_moment,
     generalized_binomial,
-    hermite_family,
+    hermite,
     hook_decomposition,
+    hook_partition,
     integrate_schur,
-    monomial_family,
     partitions,
     power_sum_monomials,
     q_integer,
     schur_monomials,
-    shadow_family,
+    shadow_hermite,
     sigma_at_zero,
     vandermonde,
 )
+from qgue import qxpoly
 from qgue.symschur import _alternant, _vandermonde_squared
 from oracles import family_alternant, ssyt_schur, tuple_product, vandermonde_squared
 
@@ -169,19 +170,19 @@ def test_determinant():
 def test_family_expand_monomials_is_identity():
     for n in (1, 2, 3, 4):
         for kappa in partitions(6 if n < 4 else 4, n):
-            fe = family_expand(monomial_family, kappa, n)
+            fe = family_expand(XPoly.x_power, kappa, n)
             assert fe.entries == {kappa: ONE}
 
 
 def test_family_expand_examples():
-    fe = family_expand(shadow_family, P((2,)), 1)
+    fe = family_expand(shadow_hermite, P((2,)), 1)
     assert fe.entries == {P((2,)): ONE, P(): ONE}
-    fe = family_expand(hermite_family, P((1, 1)), 2)
+    fe = family_expand(hermite, P((1, 1)), 2)
     assert fe.entries == {P((1, 1)): ONE, P(): ONE}
 
 
 def test_family_expand_triangular_with_unit_leading():
-    for fam in (hermite_family, shadow_family, binomial_family):
+    for fam in (hermite, shadow_hermite, binomial_family):
         for n in (1, 2, 3):
             for kappa in partitions(4, n):
                 fe = family_expand(fam, kappa, n)
@@ -205,17 +206,24 @@ def _full_coefficient_det(fam, kappa, lam, n):
 
 def test_coefficient_minor_matches_full_determinant():
     # the routes evaluate a len(kappa) x len(kappa) minor; N >= len(kappa) + 3
-    # puts at least three unit-block columns outside it.  The full determinant
-    # also vanishes for lambda outside kappa, where no minor is built.
-    families = (monomial_family, binomial_family, hermite_family, shadow_family)
-    for n in (1, 2, 3, 4, 7):
-        for kappa in partitions(4, n):
+    # puts at least three unit-block columns outside it, and at N = 12 the hooks
+    # of weight <= 6 leave at least six (there only the empty-partition
+    # coefficient is checked: a full 12 x 12 determinant takes about 0.08 s).
+    # The full determinant also vanishes for lambda outside kappa, where no
+    # minor is built.
+    families = (XPoly.x_power, binomial_family, hermite, shadow_hermite)
+    hooks = [hook_partition(w - i, i) for w in range(1, 7) for i in range(w)]
+    inputs = [(n, list(partitions(4, n)), list(partitions(4, n))) for n in (1, 2, 3, 4, 7)]
+    for n, kappas, lams in inputs + [(12, hooks, [P()])]:
+        for kappa in kappas:
             for fam in families:
-                full = {lam: _full_coefficient_det(fam, kappa, lam, n) for lam in partitions(4, n)}
-                assert family_expand(fam, kappa, n).entries == {
-                    lam: c for lam, c in full.items() if not c.is_zero
-                }
-                if fam is shadow_family:
+                full = {lam: _full_coefficient_det(fam, kappa, lam, n) for lam in lams}
+                entries = family_expand(fam, kappa, n).entries
+                if lams == [P()]:
+                    assert entries.get(P(), ZERO) == full[P()]
+                else:
+                    assert entries == {lam: c for lam, c in full.items() if not c.is_zero}
+                if fam is shadow_hermite:
                     assert sigma_at_zero(kappa, n) == full[P()]
                 if fam is binomial_family:
                     assert all(generalized_binomial(kappa, lam, n) == c for lam, c in full.items())
@@ -228,8 +236,22 @@ def test_sigma_at_zero_examples():
     assert sigma_at_zero(P((2,)), 1) == ONE
 
 
+def test_sigma_at_zero_builds_no_polynomial():
+    # the fast route reads the shadow coefficients from their closed form:
+    # it neither builds an XPoly nor reads one
+    kappa = P((4, 2))
+    expected = sigma_at_zero(kappa, 20)
+    sigma_at_zero.cache_clear()
+    qxpoly._shadow_coefficient.cache_clear()
+    built = AssertionError("an XPoly was built or read")
+    with mock.patch.object(qxpoly, "shadow_hermite", side_effect=built), mock.patch.object(
+        XPoly, "__init__", side_effect=built
+    ), mock.patch.object(XPoly, "coefficient", side_effect=built):
+        assert sigma_at_zero(kappa, 20) == expected
+
+
 def test_schur_vector_serialization():
-    fe = family_expand(shadow_family, P((2,)), 2)
+    fe = family_expand(shadow_hermite, P((2,)), 2)
     assert fe.to_json_obj() == {"": "1+q+q^2", "2": "1"}
     with pytest.raises(ShapeError):
         from qgue import SchurVector
@@ -240,7 +262,7 @@ def test_schur_vector_serialization():
 def test_sigma_at_zero_matches_family_expand():
     for n in (1, 2, 3):
         for kappa in partitions(4, n):
-            fe = family_expand(shadow_family, kappa, n)
+            fe = family_expand(shadow_hermite, kappa, n)
             assert sigma_at_zero(kappa, n) == fe.entries.get(P(), ZERO)
 
 
