@@ -335,8 +335,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # an exact value at a large --at-q prints past Python's 4300-digit default;
-    # lifted only after parsing, so a huge argument still fails fast
-    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
+    # lifted only after parsing, so a huge argument still fails fast, and
+    # restored on the way out, so the caller's process keeps its limit
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -350,6 +353,8 @@ def main(argv=None) -> int:
             # the exit-time flush would fail again: send what is left to the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        set_limit(old_limit)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,24 @@ is Z[q]; rationals appear only where numbers come in or go out.
     `qxpoly.XPoly`; each keeps its own product, and `_power` is the one
     square-and-multiply loop.
     Multiplication and evaluation run the coefficient-list kernels below
-    directly.  One division loop, `_int_divmod`, serves both exact division
-    in Z[q] and the pseudo-remainders of the one gcd, Collins' subresultant
-    PRS on primitive integer lists.  When every exponent of both operands is
-    a multiple of some k > 1 (as in the squared base, where everything is a
-    polynomial in q^2), the product and exact-division kernels run on the
-    strided lists a[::k], b[::k] and inflate the result; see `_stride`.
+    directly.  When every exponent of both operands is a multiple of some
+    k > 1 (as in the squared base, where everything is a polynomial in q^2),
+    the product and exact-division kernels run on the strided lists a[::k],
+    b[::k] and inflate the result; see `_stride`.  Then, when both factors
+    of a product, or the divisor and the quotient of a division, have at
+    least _PACK_MIN_LEN = 16 coefficients, the lists are packed into single
+    ints (Kronecker substitution: q = 2**w, w a multiple of 8 bits, signed
+    coefficients in balanced slots; packing and unpacking go through
+    `int.to_bytes`/`int.from_bytes` in linear time) and CPython's big-int
+    `*` and `divmod` do the work.  A product's slots hold its coefficients
+    by a width bound.  A division with a nonzero numeric remainder is
+    inexact in Z[q], since g | a gives g(2**w) | a(2**w); a zero remainder
+    gives a quotient that is accepted only once g * quot == a is checked at
+    a width where packing is injective, and anything else falls back to the
+    schoolbook loop; see `_int_divides`.  One schoolbook division loop,
+    `_int_divmod`, serves both exact division in Z[q] and the
+    pseudo-remainders of the one gcd, Collins' subresultant PRS on primitive
+    integer lists.
   * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
     num and den lie in Z[q] and are coprime over Q, the gcd of all their
     coefficients is 1, and lc(den) > 0.  Construction always canonicalizes,
@@ -120,11 +132,71 @@ def _inflate(cs, k):
     return out
 
 
+# Both lists of a product, and the divisor and quotient of a division, need at
+# least this many coefficients for the packed path; shorter ones take the loops.
+_PACK_MIN_LEN = 16
+
+
+def _bits(cs) -> int:
+    """Bit length of the largest absolute value in a nonempty integer list."""
+    return max(max(cs), -min(cs)).bit_length()
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot so that every int of at most `bits` bits fits a balanced slot."""
+    return bits // 8 + 1
+
+
+def _half_slots(n: int, width: int) -> int:
+    """The int whose n slots of `width` bytes each hold half a slot, 2**(8 width - 1)."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+
+
+def _pack(cs, width: int) -> int:
+    """cs evaluated at q = 2**(8 width), for |c| < 2**(8 width - 1), in linear time.
+
+    Each coefficient plus half a slot is written as `width` little-endian
+    bytes, the joined bytes are read back as one int, and the half slots are
+    subtracted again.
+    """
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+    return int.from_bytes(raw, "little") - _half_slots(len(cs), width)
+
+
+def _unpack(x: int, n: int, width: int):
+    """The n balanced slots d of x = sum d[i] 2**(8 width i), -half <= d[i] < half.
+
+    None when x has no such form.  Inverse of `_pack`, also linear.
+    """
+    half = 1 << (8 * width - 1)
+    try:
+        raw = (x + _half_slots(n, width)).to_bytes(n * width, "little")
+    except OverflowError:
+        return None
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
+
+
+def _product_bytes(a, b) -> int:
+    """Slot bytes that hold every coefficient of a*b: each is a sum of min(len) products."""
+    return _slot_bytes(_bits(a) + _bits(b) + min(len(a), len(b)).bit_length())
+
+
 def _mul_int(a, b):
-    """Schoolbook product of two nonempty integer lists."""
+    """Product of two nonempty integer lists.
+
+    When both lists have at least _PACK_MIN_LEN coefficients they are
+    multiplied as numbers (Kronecker substitution): both are packed at a slot
+    width that holds every coefficient of the product, so the slots of the
+    numeric product are its coefficients.  Otherwise the schoolbook loop runs.
+    """
     k = _stride(a, b)
     if k > 1:
         return _inflate(_mul_int(a[::k], b[::k]), k)
+    if min(len(a), len(b)) >= _PACK_MIN_LEN:
+        width = _product_bytes(a, b)
+        pa = _pack(a, width)
+        return _unpack(pa * (pa if a is b else _pack(b, width)), len(a) + len(b) - 1, width)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -156,11 +228,38 @@ def _int_divmod(g, a):
 
 
 def _int_divides(g, a):
-    """Exact integer-polynomial division a/g, or None when it is not exact."""
+    """Exact integer-polynomial division a/g, or None when it is not exact.
+
+    When g and the quotient both have at least _PACK_MIN_LEN coefficients,
+    the division runs on numbers first.  Pack at a slot width w of at least
+    max(bits(a), bits(g)) + 2 bits; then G = g(2**w) is nonzero, because the
+    top slot of g outweighs all lower ones.  If g | a in Z[q], say a = g h,
+    then A = a(2**w) = G h(2**w), so G | A: a nonzero remainder of A by G
+    proves the division inexact.  A zero remainder proves nothing on its own,
+    since the coefficients of h may not fit w bits.  The unpacked quotient is
+    accepted only when it fits, its top slot is nonzero and g * quot == a,
+    checked as one packed product at a width that holds every coefficient of
+    both sides, where packing is injective.  When w itself is that wide, the
+    division's own G * quot(2**w) == A is the check.  Otherwise the
+    schoolbook loop `_int_divmod` decides.
+    """
     k = _stride(g, a)
     if k > 1:
         out = _int_divides(g[::k], a[::k])
         return None if out is None else _inflate(out, k)
+    n = len(a) - len(g) + 1
+    if min(len(g), n) >= _PACK_MIN_LEN:
+        width = _slot_bytes(max(_bits(a), _bits(g)) + 1)
+        quot, rem = divmod(_pack(a, width), _pack(g, width))
+        if rem:
+            return None
+        quot = _unpack(quot, n, width)
+        if quot is not None and quot[-1]:
+            wide = max(_product_bytes(g, quot), _slot_bytes(_bits(a)))
+            # the division already gave G * quot(2**w) == A; when `width`
+            # holds every coefficient of both sides, that is the check
+            if wide <= width or _pack(g, wide) * _pack(quot, wide) == _pack(a, wide):
+                return quot
     qr = _int_divmod(g, a)
     if qr is None or any(qr[1]):
         return None

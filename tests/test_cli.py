@@ -30,6 +30,11 @@ def _pinned(query: str) -> bool:
     return fast or query == "table --harer-zagier --max-m 6 --format json"
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.10 has no int digit limit"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -220,7 +225,7 @@ def test_table_guardrail(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("n_vars", ["0", "-3", "two", "x" * 5000])
+@pytest.mark.parametrize("n_vars", ["0", "-3", "two", "x" * 5000, "9" * 5000])
 def test_moment_rejects_non_positive_n_vars(capsys, n_vars):
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--power-sum", "2", "--n-vars", n_vars])
@@ -235,7 +240,25 @@ def test_moment_at_q_prints_values_past_the_digit_limit(capsys):
     point = "9" * 100 + "/" + "9" * 99 + "8"
     code, out, _ = run(capsys, "moment", "--hermite-sq", "0,10", "--at-q", point)
     value = evaluate_at(hermite_squared_moment(0, 10), Fraction(point))
-    assert code == 0 and len(out) > 2 * 4300 and Fraction(out) == value
+    # main() restores the limit, so reading the value back needs it lifted here
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        parsed = Fraction(out)
+    finally:
+        set_limit(old)
+    assert code == 0 and len(out) > 2 * 4300 and parsed == value
+
+
+@needs_digit_limit
+def test_main_restores_the_int_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "moment", "--power-sum", "2", "--n-vars", "2")
+    assert code == 0 and out
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(ValueError):
+        int("9" * 5000)
 
 
 # not rational, or a numerator, denominator or decimal exponent past AT_Q_MAX_DIGITS,
@@ -271,8 +294,8 @@ def test_moment_rejects_bad_at_q(capsys, at_q):
 )
 @pytest.mark.parametrize("literal", ["9" * 5000, "x" * 5000])
 def test_long_integer_literals_are_refused_in_short_lines(capsys, argv, literal):
-    # Python's 4300-digit parsing limit refuses 5000 nines only until an earlier
-    # in-process main() lifts it, so a literal that is not a number is covered too
+    # the CLI counts digits before int() runs, so the refusal names the digit
+    # bound; a literal that is not a number is refused as not an integer
     try:
         code = main([a.format(literal) for a in argv])
     except SystemExit as exc:

@@ -28,6 +28,7 @@ from qgue import (
 )
 from qgue import exactq
 from qgue.exactq import (
+    _PACK_MIN_LEN,
     _inflate,
     _int_divides,
     _int_divmod,
@@ -307,9 +308,9 @@ def test_latex_folding_tests_q_equals_2_first():
     # 1 + 2q + ... + 30q^29 is no product of q-integers; the image at q = 2
     # rules out every trial division by [n]_q but one
     p = QPolynomial(range(1, 31))
-    with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
+    with mock.patch.object(exactq, "_int_divides", side_effect=_int_divides) as divides:
         got = Scalar(p).latex()
-    assert divmod_.call_count <= 1
+    assert divides.call_count <= 1
     assert got == "1+2q+" + "+".join("%dq^{%d}" % (k + 1, k) for k in range(2, 30))
 
 
@@ -434,8 +435,10 @@ def test_exact_div_on_rational_coefficients(a, b, data):
 
 
 def _plain(kernel, *args):
-    """The kernel's own loop on the full lists, with the stride deflation off."""
-    with mock.patch.object(exactq, "_stride", lambda a, b: 1):
+    """The kernel's schoolbook loop on the full lists: no stride deflation, no packing."""
+    with mock.patch.object(exactq, "_stride", lambda a, b: 1), mock.patch.object(
+        exactq, "_PACK_MIN_LEN", math.inf
+    ):
         return kernel(*args)
 
 
@@ -485,6 +488,55 @@ def test_monomial_side_matches_gcd_route(den, p, c):
         want = tuple(x // content for x in rn.coeffs), tuple(x // content for x in rd.coeffs)
         s = Scalar(num, d)
         assert (s.num.coeffs, s.den.coeffs) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_packed_kernels_match_schoolbook_loops(data):
+    # signed coefficients of 1, 3 or 40 digits with zeros inside, lengths on
+    # both sides of the packing threshold, leading coefficients mostly not +-1
+    def poly():
+        n = data.draw(st.integers(1, 2 * _PACK_MIN_LEN + 8))
+        bound = 10 ** data.draw(st.sampled_from((1, 3, 40)))
+        coeff = st.one_of(st.just(0), st.integers(-bound, bound))
+        cs = data.draw(st.lists(coeff, min_size=n, max_size=n))
+        cs[-1] = cs[-1] or bound
+        return cs
+
+    g, u, v = poly(), poly(), poly()
+    a = _plain(_mul_int, g, u)
+    assert _mul_int(g, u) == a
+    assert _int_divides(g, a) == _plain(_int_divides, g, a) == u
+    # a nonzero remainder of lower degree than g makes the division inexact
+    r = data.draw(st.lists(st.integers(-9, 9), max_size=len(g) - 1))
+    if any(r):
+        a_r = [c + (r[i] if i < len(r) else 0) for i, c in enumerate(a)]
+        assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
+    # an unrelated dividend, narrower than the divisor or wider, long or short
+    assert _int_divides(g, v) == _plain(_int_divides, g, v)
+    assert _int_divides(v, a) == _plain(_int_divides, v, a)
+
+
+def test_packed_division_falls_back_when_the_quotient_overflows_its_slots():
+    # (1 - q^3)^16 = (1 - q)^16 (1 + q + q^2)^16: the quotient's coefficients
+    # have 23 bits and the dividend's 14, so the quotient packed at the
+    # dividend's slot width does not unpack to itself, and the product check
+    # sends the division to the schoolbook loop
+    g = [(-1) ** i * math.comb(16, i) for i in range(17)]
+    want = [1]
+    for _ in range(16):
+        want = _plain(_mul_int, want, [1, 1, 1])
+    a = _plain(_mul_int, g, want)
+    assert max(map(abs, want)).bit_length() > max(map(abs, a)).bit_length()
+    assert min(len(g), len(want)) >= _PACK_MIN_LEN
+    with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
+        assert _int_divides(g, a) == want
+    assert divmod_.call_count == 1
+    # a quotient that fits is taken from the packed division alone
+    b = _plain(_mul_int, g, g + [5])
+    with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
+        assert _int_divides(g, b) == g + [5]
+    assert divmod_.call_count == 0
 
 
 def test_duality_makes_no_gcd_calls():
