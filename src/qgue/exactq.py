@@ -9,22 +9,25 @@ is Z[q]; rationals appear only where numbers come in or go out.
     `qxpoly.XPoly`; each keeps its own product, and `_power` is the one
     square-and-multiply loop.
     Multiplication and evaluation run the coefficient-list kernels below
-    directly.  When every exponent of both operands is a multiple of some
-    k > 1 (as in the squared base, where everything is a polynomial in q^2),
-    the product and exact-division kernels run on the strided lists a[::k],
-    b[::k] and inflate the result; see `_stride`.  Then, when both factors
-    of a product, or the divisor and the quotient of a division, have at
-    least _PACK_MIN_LEN = 16 coefficients, the lists are packed into single
-    ints (Kronecker substitution: q = 2**w, w a multiple of 8 bits, signed
-    coefficients in balanced slots; packing and unpacking go through
-    `int.to_bytes`/`int.from_bytes` in linear time) and CPython's big-int
-    `*` and `divmod` do the work.  A product's slots hold its coefficients
-    by a width bound.  A division with a nonzero numeric remainder is
-    inexact in Z[q], since g | a gives g(2**w) | a(2**w); a zero remainder
-    gives a quotient that is accepted only once g * quot == a is checked at
-    a width where packing is injective, and anything else falls back to the
-    schoolbook loop; see `_int_divides`.  One schoolbook division loop,
-    `_int_divmod`, serves both exact division in Z[q] and the
+    directly.  The product and exact-division kernels first strip the power
+    of q from their operands, so that no later step carries leading zeros:
+    q^va a1 times q^vb b1 is q^(va+vb) a1 b1, and q^vg g1 divides q^va a1
+    exactly when va >= vg and g1 | a1; see `_low`.  Next, when every
+    exponent of both operands is a multiple of some k > 1 (as in the
+    squared base, where everything is a polynomial in q^2), they run on the
+    strided lists a[::k], b[::k] and inflate the result; see `_stride`.
+    Then, when both factors of a product, or the divisor and the quotient of
+    a division, have at least _PACK_MIN_LEN = 16 coefficients, the lists are
+    packed into single ints (Kronecker substitution: q = 2**w, w a multiple
+    of 8 bits, signed coefficients in balanced slots; packing and unpacking
+    go through `int.to_bytes`/`int.from_bytes` in linear time) and CPython's
+    big-int `*` and `divmod` do the work.  A product's slots hold its
+    coefficients by a width bound.  A division with a nonzero numeric
+    remainder is inexact in Z[q], since g | a gives g(2**w) | a(2**w); a zero
+    remainder gives a quotient that is accepted only once g * quot == a is
+    checked at a width where packing is injective, and anything else falls
+    back to the schoolbook loop; see `_int_divides`.  One schoolbook division
+    loop, `_int_divmod`, serves both exact division in Z[q] and the
     pseudo-remainders of the one gcd, Collins' subresultant PRS on primitive
     integer lists.
   * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
@@ -51,6 +54,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from typing import Iterable, Optional
 
 BigRat = Fraction
@@ -97,6 +101,20 @@ def _eval_int(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _low(cs) -> int:
+    """Index of the first nonzero coefficient of cs; 0 when there is none.
+
+    The Z[q] kernels below strip this power of q from each operand before
+    anything else, so the stride and the packed path see no leading zeros.
+    Write a = q^va a1 and g = q^vg g1 with a1(0) != 0 != g1(0).
+      * Product: a g = q^(va+vg) (a1 g1).
+      * Quotient: g | a in Z[q] exactly when va >= vg and g1 | a1, and then
+        a/g = q^(va-vg) (a1/g1).  If a = g h with h = q^vh h1, then
+        (g1 h1)(0) = g1(0) h1(0) != 0, so va = vg + vh and a1 = g1 h1.
+    """
+    return next(compress(count(), cs), 0)
 
 
 def _stride(a, b):
@@ -189,7 +207,13 @@ def _mul_int(a, b):
     multiplied as numbers (Kronecker substitution): both are packed at a slot
     width that holds every coefficient of the product, so the slots of the
     numeric product are its coefficients.  Otherwise the schoolbook loop runs.
+    The power of q (`_low`) and then the stride (`_stride`) come out first.
     """
+    va, vb = _low(a), _low(b)
+    if va or vb:
+        square = a is b
+        a = a[va:]
+        return [0] * (va + vb) + _mul_int(a, a if square else b[vb:])
     k = _stride(a, b)
     if k > 1:
         return _inflate(_mul_int(a[::k], b[::k]), k)
@@ -241,8 +265,15 @@ def _int_divides(g, a):
     checked as one packed product at a width that holds every coefficient of
     both sides, where packing is injective.  When w itself is that wide, the
     division's own G * quot(2**w) == A is the check.  Otherwise the
-    schoolbook loop `_int_divmod` decides.
+    schoolbook loop `_int_divmod` decides.  The power of q (`_low`) comes out
+    of a nonzero dividend and of the divisor first, then the stride (`_stride`).
     """
+    vg, va = _low(g), _low(a)
+    if (vg or va) and any(a):
+        if va < vg:
+            return None
+        out = _int_divides(g[vg:], a[va:])
+        return None if out is None else [0] * (va - vg) + out
     k = _stride(g, a)
     if k > 1:
         out = _int_divides(g[::k], a[::k])
@@ -410,10 +441,7 @@ class QPolynomial(_Dense):
     @property
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
+        return _low(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPolynomial):

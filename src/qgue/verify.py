@@ -305,14 +305,17 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
 # theorem5 and qhz lines were re-timed on one machine after the one-variable
-# moments became path counts, and the theorem1, theorem2 and truncation lines
+# moments became path counts, the theorem1, theorem2 and truncation lines
 # after the fast Schur integral read the shadow coefficients from their closed
-# form and the truncation suite built each direct map once; the qhz, theorem1
-# and truncation caps now sit below that range, and every bound stays until the
-# caps are re-derived.  Caps on two bounds are timed where both sit at their
-# caps, the costliest request they admit; a 2(m+s) cap is timed at the
-# costliest (m, s) on its line:
-#   duality max_n 40: 17 s (41: 19 s, 50: 60 s); truncation max_total 23: 3.9-4.5 s (24: 4.8-5.5 s);
+# form and the truncation suite built each direct map once, and the duality
+# line after the Z[q] kernels stripped the power of q from their operands
+# (past the cap timed in process through the suite generator); the qhz,
+# theorem1, truncation and duality caps now sit below that range, and every
+# bound stays until the caps are re-derived.  Caps on two bounds are timed
+# where both sit at their caps, the costliest request they admit; a 2(m+s) cap
+# is timed at the costliest (m, s) on its line:
+#   duality max_n 40: 4.0-4.7 s (41: 5.6-6.2 s, 50: 23-24 s);
+#   truncation max_total 23: 3.9-4.5 s (24: 4.8-5.5 s);
 #   theorem1 max_weight 12, max_vars 17: 7.1-8.3 s (max_vars 18: 9.1-10.5 s,
 #     max_weight 14: 18-20 s);
 #   theorem2 max_vars 8, max_ell 17: 10.5-11.9 s (max_vars 9: 19.6-20.6 s);

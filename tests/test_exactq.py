@@ -33,6 +33,7 @@ from qgue.exactq import (
     _int_divides,
     _int_divmod,
     _mul_int,
+    _pack,
     _poly_gcd,
     _primitive,
     _subresultant_gcd,
@@ -435,10 +436,11 @@ def test_exact_div_on_rational_coefficients(a, b, data):
 
 
 def _plain(kernel, *args):
-    """The kernel's schoolbook loop on the full lists: no stride deflation, no packing."""
-    with mock.patch.object(exactq, "_stride", lambda a, b: 1), mock.patch.object(
-        exactq, "_PACK_MIN_LEN", math.inf
-    ):
+    """The kernel's schoolbook loop on the full lists: no q-power stripping, no
+    stride deflation, no packing."""
+    with mock.patch.object(exactq, "_low", lambda cs: 0), mock.patch.object(
+        exactq, "_stride", lambda a, b: 1
+    ), mock.patch.object(exactq, "_PACK_MIN_LEN", math.inf):
         return kernel(*args)
 
 
@@ -462,6 +464,64 @@ def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
             a_r[i] += c
         assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
     assert _int_divides(u, v) == _plain(_int_divides, u, v)
+
+
+long_int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=20).filter(lambda c: c[-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 3),
+    long_int_poly,
+    long_int_poly,
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(-9, 9).filter(bool),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_stripped_kernels_match_plain_loops(k, g, u, vg, vu, c, p, data):
+    # polynomials in q^k times a planted q^v on either side; k = 1 is no
+    # stride, and lists of 16 or more coefficients take the packed path
+    g = [0] * vg + _inflate(g, k)
+    u = [0] * vu + _inflate(u, k)
+    a = _plain(_mul_int, g, u)
+    assert _mul_int(g, u) == _mul_int(u, g) == a
+    assert _int_divides(g, a) == _plain(_int_divides, g, a) == u
+    assert _int_divides(u, a) == _plain(_int_divides, u, a) == g
+    # a divisor with a higher power of q than the dividend never divides it
+    va = min(i for i, x in enumerate(a) if x)
+    higher = [0] * (va + data.draw(st.integers(1, 3))) + [1]
+    assert _int_divides(higher, a) is None and _plain(_int_divides, higher, a) is None
+    # one-term operands c q^p on either side; c q^p divides a exactly when
+    # p <= va and c divides every coefficient
+    mono = [0] * p + [c]
+    for x, y in ((mono, g), (g, mono), (mono, mono)):
+        assert _mul_int(x, y) == _plain(_mul_int, x, y)
+    want = [x // c for x in a[p:]] if p <= va and all(x % c == 0 for x in a) else None
+    assert _int_divides(mono, a) == _plain(_int_divides, mono, a) == want
+    assert _int_divides(g, mono) == _plain(_int_divides, g, mono)
+    # a constant divisor that does not divide: b has an odd leading coefficient
+    b = a[:-1] + [a[-1] + 1 - a[-1] % 2]
+    assert _int_divides([2], b) is None and _plain(_int_divides, [2], b) is None
+    assert _int_divides([2], [0] * p + [1, 2]) is None
+    # the zero dividend has the zero quotient
+    assert _int_divides(g, []) == _plain(_int_divides, g, []) == []
+    assert QPolynomial.zero().exact_div(QPolynomial(g)) == QPolynomial.zero()
+
+
+def test_duality_packs_no_power_of_q():
+    # each duality term is +-q^a times a Gaussian binomial: the kernels strip
+    # q^a before they pack, so no packed list starts with a zero coefficient
+    packed = []
+
+    def pack(cs, width):
+        packed.append(cs[0])
+        return _pack(cs, width)
+
+    with mock.patch.object(exactq, "_pack", pack):
+        verify_suite(["duality"], max_n=12)
+    assert packed and all(packed)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
