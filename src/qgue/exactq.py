@@ -8,38 +8,45 @@ is Z[q]; rationals appear only where numbers come in or go out.
     Its ring-generic operations live in the base `_Dense`, shared with
     `qxpoly.XPoly`; each keeps its own product, and `_power` is the one
     square-and-multiply loop.
-    Multiplication and evaluation run the coefficient-list kernels below
+    Multiplication by a one-term polynomial c q^p is a scale and a shift;
+    other products, and evaluation, run the coefficient-list kernels below
     directly.  The product and exact-division kernels first strip the power
     of q from their operands, so that no later step carries leading zeros:
     q^va a1 times q^vb b1 is q^(va+vb) a1 b1, and q^vg g1 divides q^va a1
     exactly when va >= vg and g1 | a1; see `_low`.  Next, when every
     exponent of both operands is a multiple of some k > 1 (as in the
     squared base, where everything is a polynomial in q^2), they run on the
-    strided lists a[::k], b[::k] and inflate the result; see `_stride`.
+    strided lists a[::k], b[::k] and inflate the result; see `_stride`,
+    whose scan runs at C speed.
     Then, when both factors of a product, or the divisor and the quotient of
     a division, have at least _PACK_MIN_LEN = 16 coefficients, the lists are
-    packed into single ints (Kronecker substitution: q = 2**w, w a multiple
-    of 8 bits, signed coefficients in balanced slots; packing and unpacking
-    go through `int.to_bytes`/`int.from_bytes` in linear time) and CPython's
-    big-int `*` and `divmod` do the work.  A product's slots hold its
-    coefficients by a width bound.  A division with a nonzero numeric
-    remainder is inexact in Z[q], since g | a gives g(2**w) | a(2**w); a zero
-    remainder gives a quotient that is accepted only once g * quot == a is
-    checked at a width where packing is injective, and anything else falls
-    back to the schoolbook loop; see `_int_divides`.  One schoolbook division
-    loop, `_int_divmod`, serves both exact division in Z[q] and the
-    pseudo-remainders of the one gcd, Collins' subresultant PRS on primitive
-    integer lists.
+    packed into single ints (Kronecker substitution: q = X = 2**(8 w) for
+    slots of w bytes, signed coefficients in balanced slots; packing and
+    unpacking go through `int.to_bytes`/`int.from_bytes` in linear time) and
+    CPython's big-int `*` and `divmod` do the work.  A product's slots hold
+    its coefficients by a width bound.  A division packs its operands once
+    and re-slots their bytes to each width it tries (`_value`, no loop over
+    the coefficients).  It starts at the width the quotient needs when every
+    coefficient is nonnegative, bits(a) - bits(g) + 1, and doubles it on
+    failure up to max(bits(a), bits(g)) + 2 bits.  A nonzero numeric
+    remainder proves it inexact in Z[q], since g | a gives g(X) | a(X).  A
+    zero remainder gives a quotient that is accepted only once g * quot == a
+    also holds at a second point Y, with X Y above every coefficient of
+    g * quot - a; past the last width the schoolbook loop decides.  See
+    `_int_divides`.  One schoolbook division loop, `_int_divmod`, serves
+    both exact division in Z[q] and the pseudo-remainders of the one gcd,
+    Collins' subresultant PRS on primitive integer lists.
   * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
     num and den lie in Z[q] and are coprime over Q, the gcd of all their
     coefficients is 1, and lc(den) > 0.  Construction always canonicalizes,
     so `==` on Scalars is exact field equality, and a number argument goes
     through `Fraction`.  Once the common power of q is stripped, a side with
     a single nonzero coefficient (a constant among them) is coprime to the
-    other, so such a pair skips the exact division and the gcd.  Otherwise
-    each side splits into content and primitive part; by Gauss's lemma one
-    exact division of the primitive parts decides whether den divides num
-    over Q, and when it does not, their gcd is divided out.
+    other, so such a pair skips the exact division and the gcd, and both
+    sides are divided once by their signed joint content when it is not 1.
+    Otherwise each side splits into content and primitive part; by Gauss's
+    lemma one exact division of the primitive parts decides whether den
+    divides num over Q, and when it does not, their gcd is divided out.
 
 Scalars print with a monic denominator: `str` and `latex` divide both sides
 by lc(den), and that is the only place a rational coefficient is built.
@@ -130,9 +137,18 @@ def _stride(a, b):
       * Quotient: if a = Q g then Q(zq) g(q) = a(q) = Q(q) g(q), so
         Q(zq) = Q(q).  An exact division therefore has the same quotient
         on the deflated lists, and an inexact one stays inexact there.
+    The scan runs at C speed: the gcd k of each list's first exponent past 0
+    with a nonzero coefficient is a multiple of the answer, and it is the
+    answer when every coefficient off the multiples of k is zero.  Only a
+    candidate that fails takes the Python loop.
     The gcd takes no stride: none of the gcds that `verify --suite all`
     takes has k > 1.
     """
+    k = 0
+    for cs in (a, b):
+        k = math.gcd(k, next(compress(count(1), cs[1:]), 0))
+    if k < 2 or not any(any(cs[r::k]) for cs in (a, b) for r in range(1, k)):
+        return k
     k = 0
     for cs in (a, b):
         for i, c in enumerate(cs):
@@ -165,34 +181,59 @@ def _slot_bytes(bits: int) -> int:
     return bits // 8 + 1
 
 
-def _half_slots(n: int, width: int) -> int:
-    """The int whose n slots of `width` bytes each hold half a slot, 2**(8 width - 1)."""
-    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+def _half_slots(n: int, width: int, at: int) -> int:
+    """Half a `width`-byte slot, 2**(8 width - 1), in each of n slots of `at` bytes."""
+    return int.from_bytes((b"\1" + b"\0" * (at - 1)) * n, "little") << (8 * width - 1)
 
 
-def _pack(cs, width: int) -> int:
-    """cs evaluated at q = 2**(8 width), for |c| < 2**(8 width - 1), in linear time.
+def _pack(cs, width: int) -> bytes:
+    """The slots of cs, each c plus half a slot in `width` little-endian bytes.
 
-    Each coefficient plus half a slot is written as `width` little-endian
-    bytes, the joined bytes are read back as one int, and the half slots are
-    subtracted again.
+    Every |c| must be below half a slot, 2**(8 width - 1).
     """
     half = 1 << (8 * width - 1)
-    raw = b"".join([(c + half).to_bytes(width, "little") for c in cs])
-    return int.from_bytes(raw, "little") - _half_slots(len(cs), width)
+    return b"".join([(c + half).to_bytes(width, "little") for c in cs])
 
 
-def _unpack(x: int, n: int, width: int):
-    """The n balanced slots d of x = sum d[i] 2**(8 width i), -half <= d[i] < half.
+def _value(slots: bytes, width: int, at: Optional[int] = None) -> int:
+    """The list packed at `width` bytes, evaluated at q = 2**(8 at) (at = width by default).
 
-    None when x has no such form.  Inverse of `_pack`, also linear.
+    Linear, with no loop over the coefficients: at its own width the slots
+    are read as one int.  At another width, bytes k to k + at - 1 of every
+    slot go into the `at`-byte slots of lane k (k a multiple of at), one
+    slice assignment per byte, so sum 2**(8 k) lane_k is the list plus half
+    a `width` slot in each coefficient; the half slots are subtracted.
     """
-    half = 1 << (8 * width - 1)
+    at = at or width
+    n = len(slots) // width
+    if at == width:
+        x = int.from_bytes(slots, "little")
+    else:
+        x = 0
+        for k in range(0, width, at):
+            lane = bytearray(n * at)
+            for b in range(k, min(k + at, width)):
+                lane[b - k :: at] = slots[b::width]
+            x += int.from_bytes(lane, "little") << (8 * k)
+    return x - _half_slots(n, width, at)
+
+
+def _slots(x: int, n: int, width: int) -> Optional[bytes]:
+    """The slots of the n coefficients whose value at q = 2**(8 width) is x.
+
+    None when x has no such form.  Inverse of `_value` at its own width.
+    """
     try:
-        raw = (x + _half_slots(n, width)).to_bytes(n * width, "little")
+        return (x + _half_slots(n, width, width)).to_bytes(n * width, "little")
     except OverflowError:
         return None
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
+
+
+def _unpack(slots: bytes, width: int):
+    """The coefficients in slots of `width` bytes; inverse of `_pack`, also linear."""
+    half = 1 << (8 * width - 1)
+    cut = range(0, len(slots), width)
+    return [int.from_bytes(slots[i : i + width], "little") - half for i in cut]
 
 
 def _product_bytes(a, b) -> int:
@@ -219,8 +260,9 @@ def _mul_int(a, b):
         return _inflate(_mul_int(a[::k], b[::k]), k)
     if min(len(a), len(b)) >= _PACK_MIN_LEN:
         width = _product_bytes(a, b)
-        pa = _pack(a, width)
-        return _unpack(pa * (pa if a is b else _pack(b, width)), len(a) + len(b) - 1, width)
+        pa = _value(_pack(a, width), width)
+        pb = pa if a is b else _value(_pack(b, width), width)
+        return _unpack(_slots(pa * pb, len(a) + len(b) - 1, width), width)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -255,18 +297,34 @@ def _int_divides(g, a):
     """Exact integer-polynomial division a/g, or None when it is not exact.
 
     When g and the quotient both have at least _PACK_MIN_LEN coefficients,
-    the division runs on numbers first.  Pack at a slot width w of at least
-    max(bits(a), bits(g)) + 2 bits; then G = g(2**w) is nonzero, because the
-    top slot of g outweighs all lower ones.  If g | a in Z[q], say a = g h,
-    then A = a(2**w) = G h(2**w), so G | A: a nonzero remainder of A by G
-    proves the division inexact.  A zero remainder proves nothing on its own,
-    since the coefficients of h may not fit w bits.  The unpacked quotient is
-    accepted only when it fits, its top slot is nonzero and g * quot == a,
-    checked as one packed product at a width that holds every coefficient of
-    both sides, where packing is injective.  When w itself is that wide, the
-    division's own G * quot(2**w) == A is the check.  Otherwise the
-    schoolbook loop `_int_divmod` decides.  The power of q (`_low`) comes out
-    of a nonzero dividend and of the divisor first, then the stride (`_stride`).
+    the division runs on numbers first, at q = X = 2**(8 w) for slot widths
+    of w bytes.  a and g are packed once, each at a width that holds its
+    coefficients, and `_value` re-slots their bytes to each w.
+      * Remainder: if g | a in Z[q], say a = g h, then a(X) = g(X) h(X) for
+        every integer X.  So when g(X) != 0, a nonzero remainder of a(X) by
+        g(X) proves the division inexact, at any w.  A w with g(X) = 0 (a
+        coefficient of g too wide for its slot, as for g = (q - 256) h at
+        w = 1) is skipped.
+      * Quotient: a zero remainder proves nothing on its own, since the
+        coefficients of h may not fit w bytes.  When the numeric quotient
+        unpacks into n slots, it is quot(X), so r = g quot - a has r(X) = 0,
+        and max|r| <= max|g| sum|quot| + max|a| < 2**B.  As q - X is monic,
+        r = (q - X) s in Z[q].  If also r(Y) = 0 at a second point
+        Y = 2**(8 w2) != X, then s(Y) = 0 and r = (q - X)(q - Y) t.  A
+        nonzero r has a lowest nonzero coefficient X Y t_v, at least X Y in
+        absolute value, so X Y >= 2**B proves g quot == a.  The check
+        multiplies at the narrowest such Y, w2 = ceil(B / 8) - w bytes (one
+        more when that is w); when X >= 2**B already, r = (q - X) s alone
+        proves it and no product runs.
+      * Width: the first w holds bits(a) - bits(g) + 1 bits.  That is what
+        the quotient needs when a, g and h have nonnegative coefficients:
+        g_j h_m <= a_(m+j) gives max|h| <= max|a| / max|g|.  For any other
+        lists it is a guess, and the check guards it.  Each failure doubles
+        w, up to the last width, of max(bits(a), bits(g)) + 2 bits, where
+        g(X) != 0 because the top slot of g outweighs all lower ones.  Past
+        it the schoolbook loop `_int_divmod` decides.
+    The power of q (`_low`) comes out of a nonzero dividend and of the
+    divisor first, then the stride (`_stride`).
     """
     vg, va = _low(g), _low(a)
     if (vg or va) and any(a):
@@ -280,17 +338,32 @@ def _int_divides(g, a):
         return None if out is None else _inflate(out, k)
     n = len(a) - len(g) + 1
     if min(len(g), n) >= _PACK_MIN_LEN:
-        width = _slot_bytes(max(_bits(a), _bits(g)) + 1)
-        quot, rem = divmod(_pack(a, width), _pack(g, width))
-        if rem:
-            return None
-        quot = _unpack(quot, n, width)
-        if quot is not None and quot[-1]:
-            wide = max(_product_bytes(g, quot), _slot_bytes(_bits(a)))
-            # the division already gave G * quot(2**w) == A; when `width`
-            # holds every coefficient of both sides, that is the check
-            if wide <= width or _pack(g, wide) * _pack(quot, wide) == _pack(a, wide):
-                return quot
+        ba, bg = _bits(a), _bits(g)
+        wa, wg = _slot_bytes(ba), _slot_bytes(bg)
+        sa, sg = _pack(a, wa), _pack(g, wg)
+        last = _slot_bytes(max(ba, bg) + 1)
+        width = _slot_bytes(max(ba - bg, 0) + 1)
+        while True:
+            gx = _value(sg, wg, width)
+            if gx:
+                quot, rem = divmod(_value(sa, wa, width), gx)
+                if rem:
+                    return None
+                sq = _slots(quot, n, width)
+                if sq is not None:
+                    quot = _unpack(sq, width)
+                    # r = g quot - a has r(X) = 0 and max|r| < 2**bound
+                    bound = max(bg + sum(map(abs, quot)).bit_length(), ba) + 1
+                    w2 = -(-bound // 8) - width
+                    if w2 <= 0:
+                        return quot
+                    if w2 == width:
+                        w2 += 1
+                    if _value(sg, wg, w2) * _value(sq, width, w2) == _value(sa, wa, w2):
+                        return quot
+            if width == last:
+                break
+            width = min(2 * width, last)
     qr = _int_divmod(g, a)
     if qr is None or any(qr[1]):
         return None
@@ -461,10 +534,13 @@ class QPolynomial(_Dense):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _QP_ZERO
-        if len(a) == 1:
-            return other.scale(a[0])
-        if len(b) == 1:
-            return self.scale(b[0])
+        # c q^p times b is b scaled by c and shifted by p
+        va = _low(a)
+        if va == len(a) - 1:
+            return other.scale(a[-1]).shifted(va)
+        vb = _low(b)
+        if vb == len(b) - 1:
+            return self.scale(b[-1]).shifted(vb)
         return QPolynomial(_mul_int(a, b))
 
     def __call__(self, x):
@@ -533,10 +609,15 @@ def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _divided(p: QPolynomial, c: int) -> QPolynomial:
+    """p with every coefficient divided by c, which divides them all."""
+    return p if c == 1 else QPolynomial._raw(tuple(x // c for x in p.coeffs))
+
+
 def _split(p: QPolynomial):
     """(content, primitive part) of a nonzero polynomial, the part positive-leading."""
     c = _content(p.coeffs)
-    return c, (p if c == 1 else QPolynomial._raw(tuple(x // c for x in p.coeffs)))
+    return c, _divided(p, c)
 
 
 def _reduce_pair(num: QPolynomial, den: QPolynomial):
@@ -550,19 +631,24 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
     if v:
         num = num.shifted(-v)
         den = den.shifted(-v)
+    if nv - v == num.degree or dv - v == den.degree:
+        # a side c q^p is a unit when p = 0, and otherwise, with the common
+        # power of q stripped, the other side is not divisible by q: the pair
+        # is coprime, and only the joint content is left to divide out, with
+        # the sign that makes lc(den) > 0
+        g = math.gcd(*den.coeffs, *num.coeffs)
+        g = g if den.leading > 0 else -g
+        return _divided(num, g), _divided(den, g)
     cn, num = _split(num)
     cd, den = _split(den)
-    # a side c q^p is a unit when p = 0, and otherwise, with the common power
-    # of q stripped, the other side is not divisible by q: the pair is coprime
-    if nv - v != num.degree and dv - v != den.degree:
-        quot = num.exact_div(den)  # by Gauss's lemma, exact over Z exactly when over Q
-        if quot is not None:
-            num, den = quot, _QP_ONE
-        else:
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+    quot = num.exact_div(den)  # by Gauss's lemma, exact over Z exactly when over Q
+    if quot is not None:
+        num, den = quot, _QP_ONE
+    else:
+        g = _poly_gcd(num, den)
+        if g.degree > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
     # num and den are now coprime, primitive and positive-leading: divide out
     # the joint content gcd(cn, cd), with the sign that makes lc(den) > 0
     g = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)

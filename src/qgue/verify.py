@@ -308,13 +308,13 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # moments became path counts, the theorem1, theorem2 and truncation lines
 # after the fast Schur integral read the shadow coefficients from their closed
 # form and the truncation suite built each direct map once, and the duality
-# line after the Z[q] kernels stripped the power of q from their operands
+# line after the packed exact division ran at its quotient's slot width
 # (past the cap timed in process through the suite generator); the qhz,
 # theorem1, truncation and duality caps now sit below that range, and every
 # bound stays until the caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 4.0-4.7 s (41: 5.6-6.2 s, 50: 23-24 s);
+#   duality max_n 40: 2.6-2.8 s (41: 2.4-2.9 s, 50: 7.5-8.0 s);
 #   truncation max_total 23: 3.9-4.5 s (24: 4.8-5.5 s);
 #   theorem1 max_weight 12, max_vars 17: 7.1-8.3 s (max_vars 18: 9.1-10.5 s,
 #     max_weight 14: 18-20 s);

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgue import (
@@ -29,6 +29,7 @@ from qgue import (
 from qgue import exactq
 from qgue.exactq import (
     _PACK_MIN_LEN,
+    _bits,
     _inflate,
     _int_divides,
     _int_divmod,
@@ -36,7 +37,9 @@ from qgue.exactq import (
     _pack,
     _poly_gcd,
     _primitive,
+    _slot_bytes,
     _subresultant_gcd,
+    _unpack,
 )
 from qgue.verify import verify_suite
 
@@ -550,6 +553,37 @@ def test_monomial_side_matches_gcd_route(den, p, c):
         assert (s.num.coeffs, s.den.coeffs) == want
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-20, 20), max_size=8),
+    st.integers(-12, 12).filter(bool),
+    st.sampled_from((1, 2, -3, 6)),
+    st.integers(0, 5),
+)
+@example([], -3, 2, 0)  # a zero numerator
+@example([5], -4, 6, 0)  # constant over constant, joint content 6
+@example([0, 0, -7], 14, 1, 3)  # c q^p over a constant, sharing the factor 7
+def test_constant_side_matches_gcd_route(num, c, content, p):
+    # a constant denominator only divides out the signed joint content; the
+    # reference takes the gcd route, as test_monomial_side_matches_gcd_route
+    num = QPolynomial([content * x for x in num])
+    den = QPolynomial([content * c])
+    s = Scalar(num, den)
+    if num.is_zero:
+        want = (), (1,)
+    else:
+        g = _poly_gcd(num, den)
+        rn, rd = num.exact_div(g), den.exact_div(g)
+        joint = math.gcd(*rn.coeffs, *rd.coeffs) * (1 if rd.leading > 0 else -1)
+        want = tuple(x // joint for x in rn.coeffs), tuple(x // joint for x in rd.coeffs)
+    assert (s.num.coeffs, s.den.coeffs) == want
+    # c q^p times num, on either side, is the schoolbook product
+    mono = QPolynomial([0] * p + [c])
+    for x, y in ((mono, num), (num, mono)):
+        want = [] if num.is_zero else _plain(_mul_int, list(x.coeffs), list(y.coeffs))
+        assert (x * y).coeffs == tuple(want)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_packed_kernels_match_schoolbook_loops(data):
@@ -597,6 +631,102 @@ def test_packed_division_falls_back_when_the_quotient_overflows_its_slots():
     with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
         assert _int_divides(g, b) == g + [5]
     assert divmod_.call_count == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("cancelling", "q-integer", "root", "wide", "nonnegative")), st.data())
+def test_division_loop_matches_schoolbook_loop(kind, data):
+    # the packed division starts at the slot width a nonnegative quotient
+    # needs and doubles it on failure; each kind takes its own way through
+    # the loop, and a planted remainder gives None on every way
+    def ints(n, low, high):
+        # nonzero at 0, 1 and n - 1: no power of q and no stride comes out
+        cs = data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+        for i in {0, min(1, n - 1), n - 1}:
+            cs[i] = cs[i] or high
+        return cs
+
+    length = st.integers(_PACK_MIN_LEN, 2 * _PACK_MIN_LEN + 8)
+    if kind == "cancelling":
+        # K (1 - q)^m divides K (1 - q^3)^m: the quotient (1 + q + q^2)^m is
+        # wider than the dividend, so the first width fails and the loop
+        # doubles; it ends at the last width when K is wide, and in the
+        # schoolbook loop when the quotient overflows that width too
+        m = data.draw(st.integers(_PACK_MIN_LEN - 1, 28))
+        k = data.draw(st.sampled_from((1, -1, 10**40 + 7, -(10**20))))
+        g = [k * (-1) ** i * math.comb(m, i) for i in range(m + 1)]
+        u = [1]
+        for _ in range(m):
+            u = _plain(_mul_int, u, [1, 1, 1])
+    elif kind == "q-integer":
+        # [m]_q divides a = (q^m - 1) v into u = (q - 1) v.  With v
+        # alternating +-k, a has 7-bit coefficients and u 8-bit ones, so the
+        # first width, one byte, unpacks a wrong list that agrees with u at
+        # X = 256; one byte more is not enough to prove a list right, and
+        # the check at the second point must reject this one
+        k = data.draw(st.integers(65, 127))
+        v = [(-1) ** i * k for i in range(data.draw(st.integers(_PACK_MIN_LEN, 29)))]
+        g = [1] * data.draw(length)
+        u = _plain(_mul_int, [-1, 1], v)
+    elif kind == "root":
+        # g = (q - 256) h has g(256) = 0, and a 0/1 quotient starts the loop
+        # at one byte, where g vanishes: that width is skipped
+        g = _plain(_mul_int, [-256, 1], ints(data.draw(length) - 1, -20, 20))
+        u = ints(data.draw(length), 0, 1)
+    elif kind == "wide":
+        g, u = (ints(data.draw(length), -(10**40), 10**40) for _ in range(2))
+    else:
+        g, u = (ints(data.draw(length), 0, 99) for _ in range(2))
+    a = _plain(_mul_int, g, u)
+    first = _slot_bytes(max(_bits(a) - _bits(g), 0) + 1)
+    last = _slot_bytes(max(_bits(a), _bits(g)) + 1)
+    if kind == "root":
+        assert first == 1 and exactq._eval_int(g, 256) == 0
+    with mock.patch.object(exactq, "_unpack", side_effect=_unpack) as unpack, mock.patch.object(
+        exactq, "_int_divmod", side_effect=_int_divmod
+    ) as divmod_:
+        assert _int_divides(g, a) == u
+    assert _plain(_int_divides, g, a) == u
+    fits = -(2 ** (8 * last - 1)) <= min(u) and max(u) < 2 ** (8 * last - 1)
+    assert divmod_.call_count == (0 if fits else 1)
+    if kind == "nonnegative":
+        # max|u| <= max|a| / max|g|: the first width holds the quotient
+        assert unpack.call_count == 1
+    if kind == "cancelling":
+        assert max(u).bit_length() >= 8 * first and unpack.call_count >= 2
+    # a nonzero remainder of lower degree than g makes the division inexact
+    r = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=len(g) - 1).filter(any))
+    a_r = [c + (r[i] if i < len(r) else 0) for i, c in enumerate(a)]
+    assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
+
+
+def test_duality_divides_narrower_than_the_dividend():
+    # each duality term divides [d]! by [j]! [d-j]!, whose Gaussian binomial
+    # quotient has far narrower coefficients than [d]!; the packed division
+    # runs at the quotient's width.  Every division here is exact, so every
+    # packed divmod has a zero remainder and is followed by one unpack, at
+    # the width that divmod ran at.
+    dividends, widths, quotients = [], [], []
+
+    def divides(g, a):
+        dividends.append(a)
+        try:
+            quotients.append(_int_divides(g, a))
+        finally:
+            dividends.pop()
+        return quotients[-1]
+
+    def unpack(slots, width):
+        if dividends:
+            widths.append((width, _slot_bytes(_bits(dividends[-1]))))
+        return _unpack(slots, width)
+
+    with mock.patch.object(exactq, "_int_divides", divides), mock.patch.object(
+        exactq, "_unpack", unpack
+    ):
+        verify_suite(["duality"], max_n=12)
+    assert widths and None not in quotients
+    assert all(width < dividend for width, dividend in widths)
 
 
 def test_duality_makes_no_gcd_calls():
