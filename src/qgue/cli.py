@@ -13,11 +13,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactq import PoleError, Scalar, evaluate_at, q_factorial
+from .exactq import PoleError, evaluate_at
 from .moments import (
     GENUS_MAX_M,
     DegenerateDenominator,
     genus_table,
+    hermite_norm,
     hermite_squared_moment,
     hook_moment_closed_form,
     integrate_power_sum,
@@ -171,7 +172,7 @@ def cmd_moment(args) -> int:
             )
         query.update({"kind": "hermite_squared", "m": m, "s": s})
         if args.method == "closed":
-            value = theorem5_rhs(m, s) * Scalar.q_power(s * (s + 1) // 2) * q_factorial(s + 1)
+            value = theorem5_rhs(m, s) * hermite_norm(s + 1)
         else:
             value = hermite_squared_moment(m, s)
         return _emit(value, args, query)

@@ -17,25 +17,19 @@ is Z[q]; rationals appear only where numbers come in or go out.
     exponent of both operands is a multiple of some k > 1 (as in the
     squared base, where everything is a polynomial in q^2), they run on the
     strided lists a[::k], b[::k] and inflate the result; see `_stride`,
-    whose scan runs at C speed.
+    whose one scan runs at C speed.
     Then, when both factors of a product, or the divisor and the quotient of
     a division, have at least _PACK_MIN_LEN = 16 coefficients, the lists are
     packed into single ints (Kronecker substitution: q = X = 2**(8 w) for
     slots of w bytes, signed coefficients in balanced slots; packing and
     unpacking go through `int.to_bytes`/`int.from_bytes` in linear time) and
     CPython's big-int `*` and `divmod` do the work.  A product's slots hold
-    its coefficients by a width bound.  A division packs its operands once
-    and re-slots their bytes to each width it tries (`_value`, no loop over
-    the coefficients).  It starts at the width the quotient needs when every
-    coefficient is nonnegative, bits(a) - bits(g) + 1, and doubles it on
-    failure up to max(bits(a), bits(g)) + 2 bits.  A nonzero numeric
-    remainder proves it inexact in Z[q], since g | a gives g(X) | a(X).  A
-    zero remainder gives a quotient that is accepted only once g * quot == a
-    also holds at a second point Y, with X Y above every coefficient of
-    g * quot - a; past the last width the schoolbook loop decides.  See
-    `_int_divides`.  One schoolbook division loop, `_int_divmod`, serves
-    both exact division in Z[q] and the pseudo-remainders of the one gcd,
-    Collins' subresultant PRS on primitive integer lists.
+    its coefficients by a width bound.  A division makes one packed try at
+    the quotient's width, bits(a) - bits(g) + 1, else the schoolbook loop
+    decides; see `_int_divides`.  One schoolbook division loop,
+    `_int_divmod`, serves both exact division in Z[q] and the
+    pseudo-remainders of the one gcd, Collins' subresultant PRS on primitive
+    integer lists.
   * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
     num and den lie in Z[q] and are coprime over Q, the gcd of all their
     coefficients is 1, and lc(den) > 0.  Construction always canonicalizes,
@@ -125,7 +119,7 @@ def _low(cs) -> int:
 
 
 def _stride(a, b):
-    """The gcd of the exponents of the nonzero coefficients of a and b; 0 for constants.
+    """The gcd k of the exponents of a and b when one scan finds it, else 1; 0 for constants.
 
     The Z[q] kernels below run on a[::k] and b[::k] when k > 1 and inflate
     the result back, which is exact.  Deflation q^k -> q is a ring
@@ -139,23 +133,17 @@ def _stride(a, b):
         on the deflated lists, and an inexact one stays inexact there.
     The scan runs at C speed: the gcd k of each list's first exponent past 0
     with a nonzero coefficient is a multiple of the answer, and it is the
-    answer when every coefficient off the multiples of k is zero.  Only a
-    candidate that fails takes the Python loop.
+    answer when every coefficient off the multiples of k is zero.  When
+    some coefficient there is not zero, 1 is returned: running on the full
+    lists is always exact.
     The gcd takes no stride: none of the gcds that `verify --suite all`
     takes has k > 1.
     """
     k = 0
     for cs in (a, b):
         k = math.gcd(k, next(compress(count(1), cs[1:]), 0))
-    if k < 2 or not any(any(cs[r::k]) for cs in (a, b) for r in range(1, k)):
-        return k
-    k = 0
-    for cs in (a, b):
-        for i, c in enumerate(cs):
-            if c:
-                k = math.gcd(k, i)
-                if k == 1:
-                    return 1
+    if any(any(cs[r::k]) for cs in (a, b) for r in range(1, k)):
+        return 1
     return k
 
 
@@ -297,14 +285,12 @@ def _int_divides(g, a):
     """Exact integer-polynomial division a/g, or None when it is not exact.
 
     When g and the quotient both have at least _PACK_MIN_LEN coefficients,
-    the division runs on numbers first, at q = X = 2**(8 w) for slot widths
-    of w bytes.  a and g are packed once, each at a width that holds its
-    coefficients, and `_value` re-slots their bytes to each w.
+    the division is tried once on numbers, at q = X = 2**(8 w) for slots of
+    w bytes.  a and g are packed each at a width that holds its
+    coefficients, and `_value` re-slots their bytes to w.
       * Remainder: if g | a in Z[q], say a = g h, then a(X) = g(X) h(X) for
         every integer X.  So when g(X) != 0, a nonzero remainder of a(X) by
-        g(X) proves the division inexact, at any w.  A w with g(X) = 0 (a
-        coefficient of g too wide for its slot, as for g = (q - 256) h at
-        w = 1) is skipped.
+        g(X) proves the division inexact.
       * Quotient: a zero remainder proves nothing on its own, since the
         coefficients of h may not fit w bytes.  When the numeric quotient
         unpacks into n slots, it is quot(X), so r = g quot - a has r(X) = 0,
@@ -316,15 +302,15 @@ def _int_divides(g, a):
         multiplies at the narrowest such Y, w2 = ceil(B / 8) - w bytes (one
         more when that is w); when X >= 2**B already, r = (q - X) s alone
         proves it and no product runs.
-      * Width: the first w holds bits(a) - bits(g) + 1 bits.  That is what
-        the quotient needs when a, g and h have nonnegative coefficients:
+      * Width: w holds bits(a) - bits(g) + 1 bits.  That is what the
+        quotient needs when a, g and h have nonnegative coefficients:
         g_j h_m <= a_(m+j) gives max|h| <= max|a| / max|g|.  For any other
-        lists it is a guess, and the check guards it.  Each failure doubles
-        w, up to the last width, of max(bits(a), bits(g)) + 2 bits, where
-        g(X) != 0 because the top slot of g outweighs all lower ones.  Past
-        it the schoolbook loop `_int_divmod` decides.
-    The power of q (`_low`) comes out of a nonzero dividend and of the
-    divisor first, then the stride (`_stride`).
+        lists it is a guess, and the check guards it.
+    Any other outcome decides nothing: g(X) = 0 (a coefficient of g too wide
+    for its slot, as for g = (q - 256) h at w = 1), a quotient that does not
+    unpack, or a failed check.  The schoolbook loop `_int_divmod` decides
+    then.  The power of q (`_low`) comes out of a nonzero dividend and of
+    the divisor first, then the stride (`_stride`).
     """
     vg, va = _low(g), _low(a)
     if (vg or va) and any(a):
@@ -341,29 +327,24 @@ def _int_divides(g, a):
         ba, bg = _bits(a), _bits(g)
         wa, wg = _slot_bytes(ba), _slot_bytes(bg)
         sa, sg = _pack(a, wa), _pack(g, wg)
-        last = _slot_bytes(max(ba, bg) + 1)
         width = _slot_bytes(max(ba - bg, 0) + 1)
-        while True:
-            gx = _value(sg, wg, width)
-            if gx:
-                quot, rem = divmod(_value(sa, wa, width), gx)
-                if rem:
-                    return None
-                sq = _slots(quot, n, width)
-                if sq is not None:
-                    quot = _unpack(sq, width)
-                    # r = g quot - a has r(X) = 0 and max|r| < 2**bound
-                    bound = max(bg + sum(map(abs, quot)).bit_length(), ba) + 1
-                    w2 = -(-bound // 8) - width
-                    if w2 <= 0:
-                        return quot
-                    if w2 == width:
-                        w2 += 1
-                    if _value(sg, wg, w2) * _value(sq, width, w2) == _value(sa, wa, w2):
-                        return quot
-            if width == last:
-                break
-            width = min(2 * width, last)
+        gx = _value(sg, wg, width)
+        if gx:
+            quot, rem = divmod(_value(sa, wa, width), gx)
+            if rem:
+                return None
+            sq = _slots(quot, n, width)
+            if sq is not None:
+                quot = _unpack(sq, width)
+                # r = g quot - a has r(X) = 0 and max|r| < 2**bound
+                bound = max(bg + sum(map(abs, quot)).bit_length(), ba) + 1
+                w2 = -(-bound // 8) - width
+                if w2 <= 0:
+                    return quot
+                if w2 == width:
+                    w2 += 1
+                if _value(sg, wg, w2) * _value(sq, width, w2) == _value(sa, wa, w2):
+                    return quot
     qr = _int_divmod(g, a)
     if qr is None or any(qr[1]):
         return None
@@ -478,6 +459,9 @@ class _Dense:
             return self.zero()
         if c == self._one:
             return self
+        if type(c) is type(self._one):
+            # a nonzero multiplier from the ring keeps the top coefficient nonzero
+            return self._raw(tuple(x * c for x in self.coeffs))
         return type(self)(x * c for x in self.coeffs)
 
     def shifted(self, j: int):
@@ -541,7 +525,7 @@ class QPolynomial(_Dense):
         vb = _low(b)
         if vb == len(b) - 1:
             return self.scale(b[-1]).shifted(vb)
-        return QPolynomial(_mul_int(a, b))
+        return QPolynomial._raw(tuple(_mul_int(a, b)))
 
     def __call__(self, x):
         return _eval_int(self.coeffs, x)

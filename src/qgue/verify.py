@@ -21,6 +21,7 @@ from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
 from .symschur import SizeError, check_oracle_size, hook_partition, partitions, sigma_at_zero
 from .moments import (
     DegenerateDenominator,
+    hermite_norm,
     hook_moment_closed_form,
     integrate_power_sum,
     integrate_schur,
@@ -139,9 +140,7 @@ def _orthogonality(max_n: int) -> Iterator[PointResult]:
         for m in range(max_n + 1):
             params = (("n", n), ("m", m))
             oracle = functional_L(hermite(n) * hermite(m))
-            closed = (
-                Scalar.q_power(n * (n - 1) // 2) * q_factorial(n) if n == m else ZERO
-            )
+            closed = hermite_norm(n) if n == m else ZERO
             if closed.is_zero and not oracle.is_zero:
                 yield PointResult(params, "discrepant", ratio=None, note="expected zero")
             else:

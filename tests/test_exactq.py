@@ -38,6 +38,7 @@ from qgue.exactq import (
     _poly_gcd,
     _primitive,
     _slot_bytes,
+    _stride,
     _subresultant_gcd,
     _unpack,
 )
@@ -635,10 +636,10 @@ def test_packed_division_falls_back_when_the_quotient_overflows_its_slots():
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(("cancelling", "q-integer", "root", "wide", "nonnegative")), st.data())
-def test_division_loop_matches_schoolbook_loop(kind, data):
-    # the packed division starts at the slot width a nonnegative quotient
-    # needs and doubles it on failure; each kind takes its own way through
-    # the loop, and a planted remainder gives None on every way
+def test_division_tries_one_width_then_the_schoolbook_loop(kind, data):
+    # the packed division makes one try, at the slot width a nonnegative
+    # quotient needs; when that try cannot decide, the schoolbook loop does,
+    # and a planted remainder gives None on every way
     def ints(n, low, high):
         # nonzero at 0, 1 and n - 1: no power of q and no stride comes out
         cs = data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
@@ -649,9 +650,7 @@ def test_division_loop_matches_schoolbook_loop(kind, data):
     length = st.integers(_PACK_MIN_LEN, 2 * _PACK_MIN_LEN + 8)
     if kind == "cancelling":
         # K (1 - q)^m divides K (1 - q^3)^m: the quotient (1 + q + q^2)^m is
-        # wider than the dividend, so the first width fails and the loop
-        # doubles; it ends at the last width when K is wide, and in the
-        # schoolbook loop when the quotient overflows that width too
+        # wider than the dividend, so it does not fit the width
         m = data.draw(st.integers(_PACK_MIN_LEN - 1, 28))
         k = data.draw(st.sampled_from((1, -1, 10**40 + 7, -(10**20))))
         g = [k * (-1) ** i * math.comb(m, i) for i in range(m + 1)]
@@ -660,17 +659,17 @@ def test_division_loop_matches_schoolbook_loop(kind, data):
             u = _plain(_mul_int, u, [1, 1, 1])
     elif kind == "q-integer":
         # [m]_q divides a = (q^m - 1) v into u = (q - 1) v.  With v
-        # alternating +-k, a has 7-bit coefficients and u 8-bit ones, so the
-        # first width, one byte, unpacks a wrong list that agrees with u at
-        # X = 256; one byte more is not enough to prove a list right, and
-        # the check at the second point must reject this one
+        # alternating +-k and no longer than [m]_q, a has 7-bit coefficients
+        # and u 8-bit ones, so the width, one byte, unpacks a wrong list that
+        # agrees with u at X = 256, and the check at the second point must
+        # reject it
         k = data.draw(st.integers(65, 127))
         v = [(-1) ** i * k for i in range(data.draw(st.integers(_PACK_MIN_LEN, 29)))]
         g = [1] * data.draw(length)
         u = _plain(_mul_int, [-1, 1], v)
     elif kind == "root":
-        # g = (q - 256) h has g(256) = 0, and a 0/1 quotient starts the loop
-        # at one byte, where g vanishes: that width is skipped
+        # g = (q - 256) h has g(256) = 0, and a 0/1 quotient gives a width of
+        # one byte, where g vanishes
         g = _plain(_mul_int, [-256, 1], ints(data.draw(length) - 1, -20, 20))
         u = ints(data.draw(length), 0, 1)
     elif kind == "wide":
@@ -678,26 +677,41 @@ def test_division_loop_matches_schoolbook_loop(kind, data):
     else:
         g, u = (ints(data.draw(length), 0, 99) for _ in range(2))
     a = _plain(_mul_int, g, u)
-    first = _slot_bytes(max(_bits(a) - _bits(g), 0) + 1)
-    last = _slot_bytes(max(_bits(a), _bits(g)) + 1)
-    if kind == "root":
-        assert first == 1 and exactq._eval_int(g, 256) == 0
+    width = _slot_bytes(max(_bits(a) - _bits(g), 0) + 1)
+    vanishes = exactq._eval_int(g, 2 ** (8 * width)) == 0
+    fits = -(2 ** (8 * width - 1)) <= min(u) and max(u) < 2 ** (8 * width - 1)
     with mock.patch.object(exactq, "_unpack", side_effect=_unpack) as unpack, mock.patch.object(
         exactq, "_int_divmod", side_effect=_int_divmod
     ) as divmod_:
         assert _int_divides(g, a) == u
     assert _plain(_int_divides, g, a) == u
-    fits = -(2 ** (8 * last - 1)) <= min(u) and max(u) < 2 ** (8 * last - 1)
-    assert divmod_.call_count == (0 if fits else 1)
+    assert unpack.call_count <= 1
+    # the schoolbook loop runs exactly when the one width cannot decide
+    assert divmod_.call_count == (0 if fits and not vanishes else 1)
+    if kind in ("cancelling", "root"):
+        assert divmod_.call_count == 1
+    if kind == "root":
+        assert width == 1 and vanishes
     if kind == "nonnegative":
-        # max|u| <= max|a| / max|g|: the first width holds the quotient
-        assert unpack.call_count == 1
-    if kind == "cancelling":
-        assert max(u).bit_length() >= 8 * first and unpack.call_count >= 2
+        # max|u| <= max|a| / max|g|: the width holds the quotient
+        assert fits and unpack.call_count == 1
     # a nonzero remainder of lower degree than g makes the division inexact
     r = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=len(g) - 1).filter(any))
     a_r = [c + (r[i] if i < len(r) else 0) for i, c in enumerate(a)]
     assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
+
+
+def test_stride_takes_one_scan():
+    # the scan's candidate, 4, fails on q^6; the stride of 2 that a full
+    # scan would find is skipped, and the kernels run on the full lists
+    a = [1, 0, 0, 0, 1, 0, 1]
+    assert _stride(a, [1]) == 1
+    for g, b in ((a, [1]), ([1], a), (a, a)):
+        assert _mul_int(g, b) == _plain(_mul_int, g, b)
+    square = _plain(_mul_int, a, a)
+    assert _int_divides(a, square) == _plain(_int_divides, a, square) == a
+    assert _int_divides(a, [1]) is None and _plain(_int_divides, a, [1]) is None
+    assert _int_divides([1], a) == _plain(_int_divides, [1], a) == a
 
 
 def test_duality_divides_narrower_than_the_dividend():
@@ -757,6 +771,11 @@ def test_shared_dense_base_commutes_with_the_scalar_map(a, b, c, j, n):
     assert _xpoly((pa - pb).coeffs) == xa - xb
     assert _xpoly((-pa).coeffs) == -xa
     assert _xpoly(pa.scale(c).coeffs) == xa.scale(Scalar(c))
+    assert pa.scale(c).coeffs == QPolynomial([x * c for x in a]).coeffs
+    if not pa.is_zero:
+        # a multiplier from outside the ring still goes through the validating constructor
+        with pytest.raises(TypeError):
+            pa.scale(Fraction(1, 2))
     assert _xpoly((pa**n).coeffs) == xa**n
     for k in (-1, len(a), len(a) + 3):
         assert pa.coefficient(k) == 0 and xa.coefficient(k) is ZERO

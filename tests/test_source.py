@@ -67,6 +67,33 @@ def test_no_benchmark_imports():
     assert not found, f"imports of perfbench in src/qgue: {found}"
 
 
+def _tracer_tables():
+    """EXTRA and CLASSES of perfbench/tracer.py, read with ast: the package does not import it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tables = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("EXTRA", "CLASSES"):
+                tables[target.id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_tracer_names_exist():
+    # the layer tracer wraps these names by string, so renaming one breaks
+    # perfbench/check.py and every --trace 1 run; this fails in seconds
+    tables = _tracer_tables()
+    assert sorted(tables) == ["CLASSES", "EXTRA"]
+    missing = [
+        f"{layer}.{name}"
+        for table in tables.values()
+        for layer, names in table.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"qgue.{layer}"), name)
+    ]
+    assert not missing, f"names the tracer wraps that qgue does not define: {missing}"
+
+
 def test_public_names_are_pinned():
     names = sorted(
         name
