@@ -8,7 +8,6 @@ guardrail violations, poles, and output that cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .moments import (
 from .symschur import Partition, ShapeError, SizeError
 from .verify import (
     SUITE_NAMES,
+    _json_text,
     has_discrepancies,
     render_json,
     summary_table,
@@ -64,16 +64,12 @@ CLOSED_FORM_BANNER = (
 )
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _render_value(value, args, query) -> str:
     """Render a Scalar (or its specialization at q0) in the chosen format."""
     if args.at_q is not None:
         value = evaluate_at(value, args.at_q)
     if args.format == "json":
-        return _json_dump({"query": query, "value": str(value)})
+        return _json_text({"query": query, "value": str(value)})
     if args.format == "latex" and args.at_q is None:
         return value.latex() + "\n"
     return str(value) + "\n"
@@ -179,8 +175,7 @@ def cmd_moment(args) -> int:
 
     if args.power_sum is not None:
         if args.power_sum <= 0 or args.power_sum % 2:
-            print("error: --power-sum expects a positive even integer", file=sys.stderr)
-            return 2
+            raise ValueError("--power-sum expects a positive even integer")
         m = args.power_sum // 2
         if args.method != "oracle":
             _check_moment_size(n_vars, 2 * m, 2 * m)
@@ -198,11 +193,7 @@ def cmd_moment(args) -> int:
     if args.method == "closed":
         parts = kappa.parts
         if not parts or any(p != 1 for p in parts[1:]) or kappa.weight % 2:
-            print(
-                "error: --method closed needs a hook partition of even weight",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("--method closed needs a hook partition of even weight")
         value = hook_moment_closed_form(parts[0] - 1, kappa.weight // 2, n_vars)
     else:
         value = integrate_schur(kappa, n_vars, args.method)
@@ -220,9 +211,12 @@ def cmd_verify(args) -> int:
     # the check creates nothing, so a refused request leaves no file behind
     if args.report:
         folder = os.path.dirname(args.report) or "."
-        if os.path.isdir(args.report) or not os.access(folder, os.W_OK):
-            print(f"error: cannot write report: no writable file at {args.report}", file=sys.stderr)
-            return 2
+        if (
+            os.path.isdir(args.report)
+            or not os.access(folder, os.W_OK)
+            or (os.path.exists(args.report) and not os.access(args.report, os.W_OK))
+        ):
+            raise ValueError(f"cannot write report: no writable file at {args.report}")
     results = verify_suite(
         suites,
         max_weight=args.max_weight,
@@ -235,8 +229,7 @@ def cmd_verify(args) -> int:
             with open(args.report, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot write report: {exc}") from None
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -248,8 +241,7 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     if not args.harer_zagier:
-        print("error: table requires --harer-zagier", file=sys.stderr)
-        return 2
+        raise ValueError("table requires --harer-zagier")
     rows = genus_table(args.max_m)
     if args.format == "json":
         obj = [
@@ -261,7 +253,7 @@ def cmd_table(args) -> int:
             }
             for r in rows
         ]
-        sys.stdout.write(_json_dump(obj))
+        sys.stdout.write(_json_text(obj))
     elif args.format == "latex":
         print(r"\begin{tabular}{rlll}")
         print(r"m & counts by genus & pairing oracle & match \\")

@@ -58,10 +58,7 @@ from functools import lru_cache
 from itertools import compress, count
 from typing import Iterable, Optional
 
-BigRat = Fraction
-
 __all__ = [
-    "BigRat",
     "PoleError",
     "QPolynomial",
     "Scalar",
@@ -356,6 +353,13 @@ def _int_divides(g, a):
 # ---------------------------------------------------------------------------
 
 
+def _plus(a, b) -> tuple:
+    """The sum of two ascending coefficient sequences, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(operator.add, a, b), *a[len(b) :])
+
+
 def _power(x, n: int, one):
     """x**n for n >= 0 by binary square-and-multiply, starting from one."""
     out = one
@@ -435,13 +439,7 @@ class _Dense:
         return f"{type(self).__name__}({self})"
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
+        return type(self)(_plus(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -672,10 +670,6 @@ class Scalar:
         return s
 
     @classmethod
-    def from_fraction(cls, c) -> "Scalar":
-        return cls(Fraction(c))
-
-    @classmethod
     def q_power(cls, j: int) -> "Scalar":
         """q**j, with negative j allowed."""
         if j >= 0:
@@ -871,7 +865,7 @@ def _fold_q_integers(p: QPolynomial):
     while work.degree > 0 and n >= 2:
         # [n]_q is monic, so quotients stay in Z[q]; most trials fail, and [n]_q
         # is 2**n - 1 at q = 2: test that image first
-        quot = work.exact_div(QPolynomial._raw((1,) * n)) if work(2) % (2**n - 1) == 0 else None
+        quot = work.exact_div(q_integer(n).num) if work(2) % (2**n - 1) == 0 else None
         if quot is not None:
             factors[n] = factors.get(n, 0) + 1
             work = quot

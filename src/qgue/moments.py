@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 from typing import Dict, List, NamedTuple, Tuple
 
 from .exactq import (
@@ -39,6 +39,7 @@ from .exactq import (
     ZERO,
     QPolynomial,
     Scalar,
+    _plus,
     evaluate_at,
     m_q,
     q_binomial,
@@ -175,13 +176,6 @@ def _times_weight(c: Tuple[int, ...], t: int) -> Tuple[int, ...]:
     prefix = [0, *accumulate(c)]
     pad = [0] * (t - 1)
     return (*pad, *map(sub, prefix[1:] + prefix[-1:] * (t - 1), pad + prefix[:-1]))
-
-
-def _plus(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The sum of two ascending coefficient tuples."""
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b) :])
 
 
 @lru_cache(maxsize=None)

@@ -18,12 +18,15 @@ makes coefficient extraction in the H-basis (and the moment functional L)
 computable.  L is the constant term of the inverse image, and only that
 term is computed: it is the sum of p_{2k} M_q(2k-1) over the even
 coefficients of p (see `functional_L`).
+
+The direct shadow-basis map, the forward image of a truncated shadow
+polynomial, is cached once per (N, ell) in `_direct_shadow_map`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 from .exactq import ONE, ZERO, Scalar, _Dense, m_q, q_binomial, q_integer
 
@@ -56,10 +59,6 @@ class XPoly(_Dense):
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1].is_one
-
-    @property
-    def constant_term(self) -> Scalar:
-        return self.coefficient(0)
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         # apart from QPolynomial's int-list kernel: a zero Scalar skips its row or column
@@ -167,8 +166,7 @@ def truncated_in_shadow_basis(N: int, ell: int, method: str = "direct") -> Dict[
     if N < 1 or ell < 1:
         raise ValueError("truncated_in_shadow_basis needs N >= 1 and ell >= 1")
     if method == "direct":
-        image = gaussian_op(truncated_shadow(N, ell), "forward")
-        return {k: c for k, c in enumerate(image.coeffs) if not c.is_zero}
+        return dict(_direct_shadow_map(N, ell))
     if method in ("closed", "printed"):
         n = N + ell
         half = ell // 2
@@ -185,6 +183,13 @@ def truncated_in_shadow_basis(N: int, ell: int, method: str = "direct") -> Dict[
             out[n - 2 * p] = -c if s % 2 else c
         return out
     raise ValueError("method must be 'direct', 'closed' or 'printed'")
+
+
+@lru_cache(maxsize=None)
+def _direct_shadow_map(N: int, ell: int) -> Tuple[Tuple[int, Scalar], ...]:
+    """The nonzero (j, [S_j] coefficient) pairs of the forward image of truncated_shadow(N, ell)."""
+    image = gaussian_op(truncated_shadow(N, ell), "forward")
+    return tuple((k, c) for k, c in enumerate(image.coeffs) if not c.is_zero)
 
 
 def functional_L(p: XPoly) -> Scalar:

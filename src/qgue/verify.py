@@ -233,14 +233,11 @@ def _qhz(max_weight: int, max_s: int) -> Iterator[PointResult]:
 
 
 def _truncation(max_total: int) -> Iterator[PointResult]:
-    directs: Dict[Tuple[int, int], Dict[int, Scalar]] = {}  # kept from the closed pass
     for variant in ("closed", "printed"):
         for n in range(1, max_total):
             for ell in range(1, max_total + 1 - n):
                 params = (("N", n), ("ell", ell), ("variant", variant))
-                if (n, ell) not in directs:
-                    directs[n, ell] = truncated_in_shadow_basis(n, ell, "direct")
-                direct = directs[n, ell]
+                direct = truncated_in_shadow_basis(n, ell, "direct")
                 other = truncated_in_shadow_basis(n, ell, variant)
                 if direct == other:
                     yield PointResult(params, "equal")
@@ -455,20 +452,22 @@ def report_to_json(results: List[SuiteResult]) -> Dict[str, object]:
     }
 
 
+def _json_text(obj) -> str:
+    """The one JSON layout of qgue output: two-space indent, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def render_json(results: List[SuiteResult]) -> str:
-    return json.dumps(report_to_json(results), indent=2, sort_keys=True) + "\n"
+    return _json_text(report_to_json(results))
 
 
 def summary_table(results: List[SuiteResult]) -> str:
     lines = [f"{'suite':<14} {'points':>7} {'equal':>7} {'discrepant':>11}  notes"]
     for s in results:
-        disc = s.discrepancies
-        note = ""
-        if disc:
-            mono = sum(1 for p in disc if p.is_monomial)
-            note = f"{mono} with ratio +/-q^j"
+        counts = s.summary()
+        note = f"{counts['monomial_ratios']} with ratio +/-q^j" if counts["discrepant"] else ""
         lines.append(
-            f"{s.identity:<14} {len(s.points):>7} {len(s.points) - len(disc):>7} "
-            f"{len(disc):>11}  {note}"
+            f"{s.identity:<14} {counts['points']:>7} {counts['equal']:>7} "
+            f"{counts['discrepant']:>11}  {note}"
         )
     return "\n".join(lines)

@@ -130,7 +130,7 @@ def test_criterion_07_multivariate_orthogonality():
             if ka != kb:
                 ok = ok and got == ZERO
             else:
-                norm = Scalar.from_fraction(math.factorial(n))
+                norm = Scalar(math.factorial(n))
                 power = 0
                 for i in range(n):
                     d = ka.part(i) + n - 1 - i

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from qgue import Scalar, evaluate_at, hermite_squared_moment, verify
+from qgue import Scalar, cli, evaluate_at, hermite_squared_moment, verify
 from qgue.cli import AT_Q_MAX_DIGITS, INT_MAX_DIGITS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -399,6 +399,24 @@ def test_verify_report_is_replaced_only_by_a_run(capsys, tmp_path):
     # a path that is not a regular file is written as before
     code, out, _ = run(capsys, "verify", "--suite", "qhz", "--max-n", "1", "--report", os.devnull)
     assert code == 0 and f"report written to {os.devnull}" in out
+
+
+def test_verify_refuses_a_read_only_report_before_any_suite(capsys, tmp_path):
+    # os.access grants everything to root, so the answer for the report is faked
+    report = tmp_path / "r.json"
+    report.write_text("earlier report\n")
+    access = os.access
+
+    def fake_access(path, mode):
+        return path != str(report) and access(path, mode)
+
+    with mock.patch.object(cli.os, "access", fake_access), mock.patch.object(
+        cli, "verify_suite", wraps=cli.verify_suite
+    ) as spy:
+        code, out, err = run(capsys, "verify", "--suite", "qhz", "--report", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write report: no writable file at {report}\n"
+    assert spy.call_count == 0 and report.read_text() == "earlier report\n"
 
 
 @pytest.mark.parametrize("query", sorted(filter(_pinned, REFERENCE)))

@@ -286,7 +286,7 @@ def test_signed_q_power_detection():
     assert (-Scalar.q_power(-2)).as_signed_q_power() == (-1, -2)
     assert ONE.as_signed_q_power() == (1, 0)
     assert q_integer(3).as_signed_q_power() is None
-    assert (Scalar.from_fraction(2) * Scalar.q_power(1)).as_signed_q_power() is None
+    assert (Scalar(2) * Scalar.q_power(1)).as_signed_q_power() is None
 
 
 def test_string_rendering_contract():
@@ -294,7 +294,7 @@ def test_string_rendering_contract():
     assert str(ONE + q_integer(3)) == "2+q+q^2"
     assert str(ONE / (ONE - Scalar.q_power(1))) == "-1/(-1+q)"
     assert str(Scalar.q_power(2) / (ONE + Scalar.q_power(1))) == "q^2/(1+q)"
-    assert str(Scalar.from_fraction(Fraction(-3, 2))) == "-3/2"
+    assert str(Scalar(Fraction(-3, 2))) == "-3/2"
     assert str(Scalar(QPolynomial([3, 0, -18, -4, 6]), 6)) == "1/2-3q^2-(2/3)q^3+q^4"
 
 

@@ -12,7 +12,7 @@ import qgue
 
 # Removing a name from qgue is a behaviour change: edit this list on purpose.
 PUBLIC_NAMES = [
-    "BigRat", "DegenerateDenominator", "GenusRow", "MonomialMap", "ONE", "Partition",
+    "DegenerateDenominator", "GenusRow", "MonomialMap", "ONE", "Partition",
     "PointResult", "PoleError", "QPolynomial", "SUITE_NAMES", "Scalar", "SchurVector",
     "ShapeError", "SizeError", "SuiteResult", "XPoly", "ZERO", "apply_M0", "apply_M2",
     "binomial_family", "det", "evaluate_at", "family_expand", "functional_L",
@@ -103,6 +103,19 @@ def test_public_names_are_pinned():
     assert names == sorted(PUBLIC_NAMES)
 
 
+def test_public_names_are_qgue_own():
+    # a class or function of another library exported under a second name only
+    # renames it; callers import the original
+    foreign = [
+        f"{name} from {value.__module__}"
+        for name, value in vars(qgue).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not value.__module__.startswith("qgue.")
+    ]
+    assert not foreign, f"public names defined outside qgue: {foreign}"
+
+
 def test_cli_start_up_imports_no_introspection():
     # dataclasses pulls in inspect, dis and tokenize, about 10 ms of every cold
     # qgue process; a fresh interpreter keeps pytest's own imports out of the count
@@ -171,7 +184,7 @@ def test_dense_polynomials_share_one_implementation():
         restated = (_class_names(classes[name]) & shared) - allowed
         assert not restated, f"{name} restates _Dense: {sorted(restated)}"
     xpoly = _class_names(classes["XPoly"]) - {"__slots__", "_zero", "_one"}
-    allowed = {"x_power", "is_monic", "constant_term", "__mul__", "__str__", "__repr__"}
+    allowed = {"x_power", "is_monic", "__mul__", "__str__", "__repr__"}
     assert xpoly <= allowed
 
 
@@ -245,3 +258,36 @@ def test_no_public_pass_through_wrappers():
             if target and target.split(".")[0] in public - {func.name} and args == params:
                 found.append(f"{path.name}:{func.lineno} {func.name} -> {target}")
     assert not found, f"public pass-through wrappers: {found}"
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_json_writer():
+    # reports and CLI output share one layout, so one function calls json.dumps
+    found = [
+        f"{path.name}:{func.lineno} {func.name}"
+        for path, tree in _trees()
+        for func in _functions(tree)
+        if any(
+            isinstance(node, ast.Call) and _dotted(node.func) == "json.dumps"
+            for node in ast.walk(func)
+        )
+    ]
+    assert len(found) == 1, f"functions that call json.dumps: {found}"
+
+
+def test_cli_errors_are_printed_only_by_main():
+    # a command raises and main prints the one error line and returns 2
+    tree = next(tree for path, tree in _trees() if path.name == "cli.py")
+    found = [
+        f"cli.py:{node.lineno} {func.name}"
+        for func in _functions(tree)
+        if func.name != "main"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("error:")
+    ]
+    assert not found, f"error lines written outside main: {found}"

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -10,8 +11,10 @@ from qgue import (
     Scalar,
     has_discrepancies,
     q_integer,
+    qxpoly,
     render_json,
     summary_table,
+    truncated_in_shadow_basis,
     verify_suite,
 )
 
@@ -101,6 +104,20 @@ def test_truncation_variants():
     assert closed and all(p.is_equal for p in closed)
     bad = [p for p in printed if not p.is_equal]
     assert bad and all(p.is_monomial for p in bad)
+
+
+def test_direct_shadow_maps_are_built_once_per_pair():
+    # theorem2's default (N, ell) pairs lie inside truncation's 45, and each
+    # pair's forward image is built once for both suites and both variants
+    for obj in vars(qxpoly).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    with mock.patch.object(qxpoly, "gaussian_op", wraps=qxpoly.gaussian_op) as spy:
+        verify_suite(["theorem2", "truncation"])
+    assert spy.call_count == 45
+    # each caller gets its own dict
+    truncated_in_shadow_basis(2, 3, "direct").clear()
+    assert truncated_in_shadow_basis(2, 3, "direct")
 
 
 def test_duality_and_orthogonality_clean():
