@@ -20,6 +20,9 @@ is a sliding sum of t coefficients, so no product, division or gcd occurs.
 Each reader takes c_{2m}(s) directly, and only `hermite_squared_moment`
 multiplies it by h_s.
 
+The genus tables at q = 1 are checked against the (2m-1)!! gluings of a
+2m-gon (`pairing_genus_counts`), whose vertices are counted as edges pair.
+
 The closed-form evaluators (`hook_moment_closed_form`, `sigma_closed_form`,
 `p2m_closed_form`, `theorem5_rhs`, `qhz_rhs`) reproduce printed formulas
 exactly as printed, known defects included; correctness judgments live in
@@ -339,42 +342,62 @@ class GenusRow(NamedTuple):
 def pairing_genus_counts(m: int) -> Dict[int, int]:
     """Enumerate all (2m-1)!! edge pairings of a 2m-gon, counted by genus.
 
-    A pairing is a fixed-point-free involution on the polygon's edges; the
-    glued surface has one face, m edges, and V vertices equal to the cycle
-    count of (involution o rotation), so 2 - 2g = V - m + 1.
+    A pairing is a fixed-point-free involution sigma on the polygon's edges;
+    the glued surface has one face, m edges, and V vertices equal to the cycle
+    count of pi(v) = sigma(v+1) (indices mod 2m), so 2 - 2g = V - m + 1.
+
+    The lowest free edge is paired with each later free edge, depth first, and
+    pi is built one arc at a time: pairing a with b sets pi(a-1) = b and
+    pi(b-1) = a.  Each vertex gets one arc out and one in, so the arcs placed
+    so far form disjoint cycles and paths, and an arc t -> h goes from the end
+    of a path to the start of one.  first[t] is the first vertex of the path
+    ending at t, last[h] the last vertex of the path starting at h.  The arc
+    closes a cycle exactly when first[t] = h; otherwise the joined path runs
+    from first[t] to last[h], the only two entries that change (back to t and
+    h on the way up).  The last pair a < b finds either the paths b..a-1 and
+    a..b-1, which its arcs close one each, or a..a-1 and b..b-1, which they
+    join into one cycle.  So a leaf knows V without a scan.
     """
     if m < 1:
         raise ValueError("pairing_genus_counts needs m >= 1")
     n = 2 * m
-    counts: Dict[int, int] = {}
+    first, last = list(range(n)), list(range(n))
+    by_vertices = [0] * (m + 2)
 
-    def matchings(items):
-        if not items:
-            yield []
+    def glue(free: List[int], cycles: int) -> None:
+        a = free[0]
+        t = (a - 1) % n
+        if len(free) == 2:
+            by_vertices[cycles + (2 if first[t] == free[1] else 1)] += 1
             return
-        first, rest = items[0], items[1:]
-        for i, other in enumerate(rest):
-            for tail in matchings(rest[:i] + rest[i + 1 :]):
-                yield [(first, other)] + tail
+        for i in range(1, len(free)):
+            b = free[i]
+            rest = free[1:i] + free[i + 1 :]
+            s = first[t]  # the arc t -> b
+            if s == b:
+                closed = cycles + 1
+            else:
+                closed, e = cycles, last[b]
+                last[s], first[e] = e, s
+            u = first[b - 1]  # the arc b-1 -> a
+            if u == a:
+                glue(rest, closed + 1)
+            else:
+                z = last[a]
+                last[u], first[z] = z, u
+                glue(rest, closed)
+                last[u], first[z] = b - 1, a
+            if s != b:
+                last[s], first[e] = t, b
 
-    for pairing in matchings(tuple(range(n))):
-        sigma = [0] * n
-        for a, b in pairing:
-            sigma[a] = b
-            sigma[b] = a
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if not seen[start]:
-                cycles += 1
-                v = start
-                while not seen[v]:
-                    seen[v] = True
-                    v = sigma[(v + 1) % n]
-        g, rem = divmod(m + 1 - cycles, 2)
-        if rem:
-            raise ArithmeticError(f"gluing with {cycles} vertices has odd Euler characteristic")
-        counts[g] = counts.get(g, 0) + 1
+    glue(list(range(n)), 0)
+    counts: Dict[int, int] = {}
+    for v, count in enumerate(by_vertices):
+        if count:
+            g, rem = divmod(m + 1 - v, 2)
+            if rem:
+                raise ArithmeticError(f"gluing with {v} vertices has odd Euler characteristic")
+            counts[g] = count
     return counts
 
 

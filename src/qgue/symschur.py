@@ -13,8 +13,10 @@ Two parallel routes to multivariate integrals live here:
     come from the branching rule.  The functional and the squared
     Vandermonde are symmetric, so the integrand is first folded onto sorted
     exponent signatures: one monomial per orbit is multiplied out, and the
-    result is exact for any integrand.  Products add exponents packed into
-    one int per monomial.
+    result is exact for any integrand.  A monomial's key is one int with a
+    byte per exponent; the guardrail keeps every exponent of the product
+    below 256, so adding keys multiplies monomials and never carries.  The
+    squared Vandermonde is built once per N in keys.
 
 Determinant orientation is fixed once and for all: in every alternant the
 row index is the variable and column j carries exponent kappa_j + N - j
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, permutations, product
+from operator import add
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
@@ -200,15 +203,16 @@ class MonomialMap:
         return MonomialMap(self.n_vars, out)
 
     def __mul__(self, other: "MonomialMap") -> "MonomialMap":
-        packing = _Packing(self, other)
-        right = packing.pack(other.terms).items()
-        out: Dict[int, Coefficient] = {}
-        get = out.get
-        for ka, ca in packing.pack(self.terms).items():
-            for kb, cb in right:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return MonomialMap(self.n_vars, packing.unpack(out))
+        if other.n_vars != self.n_vars:
+            raise ValueError("maps in different numbers of variables")
+        if min(chain.from_iterable(chain(self.terms, other.terms)), default=0) < 0:
+            raise ValueError("exponents must be nonnegative")
+        out: Dict[Tuple[int, ...], Coefficient] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return MonomialMap(self.n_vars, out)
 
     def scale(self, c: Coefficient) -> "MonomialMap":
         if not c:
@@ -218,40 +222,6 @@ class MonomialMap:
     def __repr__(self) -> str:
         items = sorted(self.terms)
         return f"MonomialMap({self.n_vars}, {{{', '.join(f'{e}: {self.terms[e]}' for e in items)}}})"
-
-
-class _Packing:
-    """One int per monomial: the exponents of a fixed number of variables in
-    fields of equal width, the first variable in the highest field.  The width
-    holds the largest exponent of the maps it is built for plus one spare bit,
-    so the sum of two packed exponents of those maps never carries from one
-    field into the next."""
-
-    __slots__ = ("n_vars", "width")
-
-    def __init__(self, *maps: MonomialMap):
-        self.n_vars = maps[0].n_vars
-        if any(m.n_vars != self.n_vars for m in maps):
-            raise ValueError("maps in different numbers of variables")
-        flat = [x for m in maps for x in chain.from_iterable(m.terms)]
-        if min(flat, default=0) < 0:
-            raise ValueError("exponents must be nonnegative")
-        self.width = max(flat, default=0).bit_length() + 1
-
-    def pack(self, terms: Dict[Tuple[int, ...], Coefficient]) -> Dict[int, Coefficient]:
-        width = self.width
-        out: Dict[int, Coefficient] = {}
-        for exps, c in terms.items():
-            key = 0
-            for x in exps:
-                key = (key << width) | x
-            out[key] = c
-        return out
-
-    def unpack(self, terms: Dict[int, Coefficient]) -> Dict[Tuple[int, ...], Coefficient]:
-        mask = (1 << self.width) - 1
-        shifts = [self.width * i for i in range(self.n_vars - 1, -1, -1)]
-        return {tuple([(k >> s) & mask for s in shifts]): c for k, c in terms.items()}
 
 
 def _alternant(exponents: Tuple[int, ...], n: int) -> MonomialMap:
@@ -270,10 +240,33 @@ def vandermonde(n: int) -> MonomialMap:
     return _alternant(tuple(n - 1 - j for j in range(n)), n)
 
 
+def _key(exps: Iterable[int]) -> int:
+    """The oracle's key of a monomial: its exponents as the bytes of one int,
+    the first variable in the highest byte; ValueError unless each is < 256."""
+    return int.from_bytes(bytes(exps), "big")
+
+
+Keyed = Iterable[Tuple[int, Coefficient]]
+
+
+def _key_product(left: Keyed, right: Keyed) -> Dict[int, Coefficient]:
+    """The product of two maps given as (key, coefficient) pairs, whose sums of
+    exponents stay below 256: one pass over right per term of left."""
+    out: Dict[int, Coefficient] = {}
+    get = out.get
+    for ka, ca in left:
+        for kb, cb in right:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
 @lru_cache(maxsize=None)
-def _vandermonde_squared(n: int) -> MonomialMap:
-    v = vandermonde(n)
-    return v * v
+def _vandermonde_squared(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The squared Vandermonde in n variables as (key, coefficient) pairs: the
+    N!**2 pairwise sums of the alternant's keys, whose exponents are < 2n."""
+    v = [(_key(e), c) for e, c in vandermonde(n).terms.items()]
+    return tuple((k, c) for k, c in _key_product(v, v).items() if c)
 
 
 def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
@@ -464,11 +457,11 @@ def power_sum_monomials(m: int, n_vars: int) -> MonomialMap:
 Moments = Callable[[int], Scalar]
 
 
-def _fold(f: MonomialMap) -> Dict[Tuple[int, ...], Coefficient]:
-    """The coefficients of f summed over each sorted exponent signature."""
-    groups: Dict[Tuple[int, ...], Coefficient] = {}
-    for exps, c in f.terms.items():
-        sig = tuple(sorted(exps))
+def _fold(terms: Dict, signature: Callable) -> Dict:
+    """The coefficients of terms summed over each signature of their keys."""
+    groups: Dict = {}
+    for k, c in terms.items():
+        sig = signature(k)
         groups[sig] = groups.get(sig, 0) + c
     return groups
 
@@ -478,14 +471,20 @@ def apply_M0(f: MonomialMap, moments: Moments) -> Scalar:
     the product of moments(e_i).  Monomials are grouped by sorted exponent
     signature so each product is computed once; an integer group sum enters
     Q(q) when it is multiplied by the first moment."""
+    return _apply_folded(_fold(f.terms, lambda e: tuple(sorted(e))), moments)
+
+
+def _apply_folded(groups: Dict[Iterable[int], Coefficient], moments: Moments) -> Scalar:
+    """apply_M0 of the monomials with these sorted exponent signatures."""
     total = ZERO
-    for sig, c in _fold(f).items():
+    for sig, c in groups.items():
         prod = c
         for e in sig:
             if not prod:
                 break
             prod = prod * moments(e)
-        total = total + prod
+        if prod:
+            total = total + prod
     return total
 
 
@@ -497,10 +496,13 @@ def apply_M2(f: MonomialMap, moments: Moments) -> Scalar:
     f, symmetric or not.  M0 is symmetric, M0(x**(s e)) = M0(x**e) for every
     permutation s of the variables, and so is the squared Vandermonde V2; hence
     M0(x**(s e) V2) = M0(s(x**e V2)) = M0(x**e V2), and by linearity M0(f V2)
-    depends only on the sum of f's coefficients over each signature."""
+    depends only on the sum of f's coefficients over each signature.  The
+    product runs on keys (`_key`), which refuse a negative exponent."""
     n = f.n_vars
     check_oracle_size(n, f.total_degree)
-    return apply_M0(MonomialMap(n, _fold(f)) * _vandermonde_squared(n), moments)
+    rows = _fold(f.terms, lambda e: _key(sorted(e))).items()
+    product = _key_product([r for r in rows if r[1]], _vandermonde_squared(n))
+    return _apply_folded(_fold(product, lambda k: bytes(sorted(k.to_bytes(n, "big")))), moments)
 
 
 def check_oracle_size(n_vars: int, degree: int) -> None:

@@ -305,9 +305,11 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # after the fast Schur integral read the shadow coefficients from their closed
 # form and the truncation suite built each direct map once, and the duality
 # line after the packed exact division ran at its quotient's slot width
-# (past the cap timed in process through the suite generator); the qhz,
-# theorem1, truncation and duality caps now sit below that range, and every
-# bound stays until the caps are re-derived.  Caps on two bounds are timed
+# (past the cap timed in process through the suite generator), and the
+# theorem3, theorem4 and sigma lines after the monomial oracle moved to byte
+# keys (six runs over two host loads); the qhz, theorem1, truncation and
+# duality caps now sit below that range, and every bound stays until the
+# caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
 #   duality max_n 40: 2.6-2.8 s (41: 2.4-2.9 s, 50: 7.5-8.0 s);
@@ -317,10 +319,10 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 #   theorem2 max_vars 8, max_ell 17: 10.5-11.9 s (max_vars 9: 19.6-20.6 s);
 #   theorem5 2(m+s) 52: 11-13 s at (17, 9) and (16, 10) (54: 15-19 s at (18, 9));
 #   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
-#   theorem3 max_weight 14: 16-18 s at max_vars 5 (15: 20 s, 16: 31 s).
+#   theorem3 max_weight 14: 7.3-13.8 s at max_vars 5 (15: 10.6-18.6 s).
 # theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its
-# edge they take 5.2 and 5.0 s at (max_weight, max_vars) = (20, 5), 0.7 and
-# 1.0 s at (28, 4), and 0.2 and 0.6 s at (34, 3).
+# edge they take 2.7-4.4 and 2.3-5.0 s at (max_weight, max_vars) = (20, 5),
+# 0.7 and 1.0 s at (28, 4), and 0.2 and 0.6 s at (34, 3).
 # The max_s caps of 26 were timed at the default max_weight 6; for theorem5
 # the 2(m+s) cap is the tighter one.  theorem2's max_ell cap equals
 # orthogonality's max_n cap, so `--max-n 17` still runs every suite.

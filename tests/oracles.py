@@ -3,7 +3,8 @@
 Nothing here reuses the library's determinant, operator or path-count
 routes: Schur polynomials come from tableau enumeration, multivariate
 determinants from explicit permutation expansion, map counts from first
-principles, polynomial gcds from Euclid's algorithm over Q, and Gaussian
+principles (every gluing of the polygon enumerated and its vertices
+scanned), polynomial gcds from Euclid's algorithm over Q, and Gaussian
 moments from the operator series telescoped one degree at a time.  The
 Gaussian operators themselves come from `operator_series`, their defining
 power series in D_q^2/(1+q), which the library's combinations of the
@@ -97,6 +98,41 @@ def _hermite_square(s):
 def hermite_squared_by_product(m, s):
     """L(x**(2m) H_s**2) from the XPoly product H_s * H_s."""
     return functional_L(_hermite_square(s).shifted(2 * m))
+
+
+def pairing_genus_counts_by_matchings(m):
+    """One-face gluings of a 2m-gon by genus: every perfect matching of the
+    edges from a generator chain, then the cycles of sigma(v + 1) by a scan."""
+    n = 2 * m
+    counts = {}
+
+    def matchings(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for i, other in enumerate(rest):
+            for tail in matchings(rest[:i] + rest[i + 1 :]):
+                yield [(first, other)] + tail
+
+    for pairing in matchings(tuple(range(n))):
+        sigma = [0] * n
+        for a, b in pairing:
+            sigma[a] = b
+            sigma[b] = a
+        seen = [False] * n
+        cycles = 0
+        for start in range(n):
+            if not seen[start]:
+                cycles += 1
+                v = start
+                while not seen[v]:
+                    seen[v] = True
+                    v = sigma[(v + 1) % n]
+        g, rem = divmod(m + 1 - cycles, 2)
+        assert not rem, "odd Euler characteristic"
+        counts[g] = counts.get(g, 0) + 1
+    return counts
 
 
 def ssyt_schur(parts, n_vars):

@@ -48,6 +48,7 @@ from oracles import (
     family_alternant,
     hermite_squared_by_product,
     operator_series,
+    pairing_genus_counts_by_matchings,
     telescoped_even_moments,
 )
 
@@ -246,6 +247,27 @@ def test_pairing_genus_counts():
     assert pairing_genus_counts(3) == {0: 5, 1: 10}
     for m in (1, 2, 3, 4):
         assert sum(pairing_genus_counts(m).values()) == double_factorial(2 * m - 1)
+
+
+def test_pairing_genus_counts_match_the_scanned_enumeration():
+    # the incremental cycle count against a scan of every completed gluing
+    for m in range(1, 7):
+        counts = pairing_genus_counts(m)
+        assert counts == pairing_genus_counts_by_matchings(m)
+        assert sum(counts.values()) == double_factorial(2 * m - 1)
+
+
+def test_pairing_genus_counts_satisfy_harer_zagier_recursion():
+    # (m+1) e_g(m) = (4m-2) e_g(m-1) + (m-1)(2m-1)(2m-3) e_{g-1}(m-2), e_0(0) = 1
+    eps = {0: {0: 1}}
+    for m in range(1, 8):
+        eps[m] = pairing_genus_counts(m)
+        for g in range(m // 2 + 2):
+            right = (4 * m - 2) * eps[m - 1].get(g, 0)
+            if m >= 2:
+                right += (m - 1) * (2 * m - 1) * (2 * m - 3) * eps[m - 2].get(g - 1, 0)
+            assert (m + 1) * eps[m].get(g, 0) == right
+    assert eps[7] == {0: 429, 1: 12012, 2: 66066, 3: 56628}
 
 
 def test_pairing_genus_counts_rejects_empty_polygon():

@@ -37,8 +37,8 @@ from qgue import (
     sigma_at_zero,
     vandermonde,
 )
-from qgue import qxpoly
-from qgue.symschur import _alternant, _vandermonde_squared
+from qgue import moments, qxpoly, symschur
+from qgue.symschur import ORACLE_MAX_DEGREE, _alternant, _key
 from oracles import family_alternant, ssyt_schur, tuple_product, vandermonde_squared
 
 P = Partition
@@ -119,13 +119,20 @@ def test_oracle_maps_are_integer_valued():
     # the oracle computes over Z: no Scalar is built before apply_M0
     maps = []
     for n in (1, 2, 3, 4):
-        maps += [vandermonde(n), _vandermonde_squared(n), power_sum_monomials(3, n)]
+        maps += [vandermonde(n), power_sum_monomials(3, n)]
         maps += [schur_monomials(kappa, n) for kappa in partitions(4, n)]
     for f in maps:
         assert f.terms and all(type(c) is int for c in f.terms.values())
+    for n in (1, 2, 3, 4, 5):
+        square = symschur._vandermonde_squared(n)
+        assert all(type(c) is int and c for _, c in square)
+        # the keyed square from the alternant's pair sums, against the product
+        # of the factors (x_i - x_j)**2 on exponent tuples
+        want = {_key(e): c for e, c in vandermonde_squared(n).terms.items()}
+        assert dict(square) == want and len(square) == len(want)
 
 
-# exponents on both sides of the field widths 2**k - 1 | 2**k of packed monomials
+# small exponents, and both sides of each power of two up to 32
 _EXPONENTS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
 _TERMS = st.dictionaries(st.tuples(*[_EXPONENTS] * 4), st.integers(-3, 3), max_size=5)
 
@@ -142,12 +149,12 @@ def _monomial_map(n_vars, terms, scalar=False):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), a=_TERMS, b=_TERMS, scalar=st.booleans())
-def test_packed_product_matches_tuple_product(n, a, b, scalar):
+def test_product_matches_tuple_product(n, a, b, scalar):
     f, g = _monomial_map(n, a, scalar), _monomial_map(n, b)
     assert f * g == tuple_product(f, g)
 
 
-def test_packed_product_rejects_bad_operands():
+def test_product_rejects_bad_operands():
     with pytest.raises(ValueError):
         MonomialMap(2, {(1, -1): 1}) * MonomialMap(2, {(0, 1): 1})
     with pytest.raises(ValueError):
@@ -309,6 +316,9 @@ def test_apply_M2_examples():
 )
 @example(n=4, terms={(0, 0, 0, 0): 1}, scalar=False)
 @example(n=3, terms={(0, 0, 0, 0): 2}, scalar=True)
+# five variables at the guardrail's total degree 40: f of degree 20 times V**2 of degree 20
+@example(n=5, terms={(20, 0, 0, 0, 0): 1}, scalar=False)
+@example(n=5, terms={(5, 4, 4, 4, 3): 2, (0, 3, 7, 0, 10): -3, (4, 4, 4, 4, 4): 1}, scalar=True)
 def test_apply_M2_folds_maps_that_are_not_symmetric(n, terms, scalar):
     f = _monomial_map(n, terms, scalar)
     want = apply_M0(tuple_product(f, vandermonde_squared(n)), gaussian_moment)
@@ -316,21 +326,44 @@ def test_apply_M2_folds_maps_that_are_not_symmetric(n, terms, scalar):
 
 
 def test_oracle_multiplies_one_monomial_per_signature():
-    # the squared Vandermonde factor meets f only after f is folded
+    # the squared Vandermonde factor meets f only after f is folded: one pass
+    # over its terms per signature, and it is built once per N
     f = schur_monomials(P((4, 2, 2)), 5)
     signatures = {tuple(sorted(e)) for e in f.terms}
-    real_mul = MonomialMap.__mul__
-    calls = []
+    square = symschur._vandermonde_squared(5)
+    passes = []
 
-    def recording(a, b):
-        calls.append((len(a.terms), b))
-        return real_mul(a, b)
+    class Rows:
+        def __iter__(self):
+            passes.append(1)
+            return iter(square)
 
+    with mock.patch.object(symschur, "_vandermonde_squared", lambda n: Rows()):
+        apply_M2(f, gaussian_moment)
+    assert len(passes) == len(signatures) < len(f.terms)
+
+    symschur._vandermonde_squared.cache_clear()
     integrate_schur.cache_clear()
-    with mock.patch.object(MonomialMap, "__mul__", recording):
+    moments.normalization.cache_clear()
+    with mock.patch.object(symschur, "vandermonde", wraps=vandermonde) as built:
         integrate_schur(P((4, 2, 2)), 5, "oracle")
-    sizes = [size for size, b in calls if b is _vandermonde_squared(5)]
-    assert sizes and max(sizes) <= len(signatures) < len(f.terms)
+        integrate_schur(P((3, 3)), 5, "oracle")
+    assert [c.args for c in built.call_args_list] == [(5,)]
+
+
+def test_oracle_keys_hold_every_exponent_the_guardrail_admits():
+    # a key gives each exponent one byte, so sums of keys stay exact only while
+    # the guardrail keeps every exponent of the product below 256
+    assert ORACLE_MAX_DEGREE < 256
+
+    def distinct(e):  # a functional that tells the exponents apart
+        return Scalar(e + 1)
+
+    for n in (1, 2, 3):
+        top = ORACLE_MAX_DEGREE - n * (n - 1)
+        f = MonomialMap(n, {(top,) + (0,) * (n - 1): 1, (0,) * (n - 1) + (top,): 2})
+        want = apply_M0(tuple_product(f, vandermonde_squared(n)), distinct)
+        assert apply_M2(f, distinct) == want
 
 
 def test_apply_M2_guardrails():
@@ -339,6 +372,9 @@ def test_apply_M2_guardrails():
         apply_M2(MonomialMap.constant(6, ONE), L)
     with pytest.raises(SizeError):
         apply_M2(MonomialMap(2, {(40, 0): ONE}), L)
+    # a negative exponent has no key
+    with pytest.raises(ValueError):
+        apply_M2(MonomialMap(2, {(3, -1): ONE}), L)
 
 
 def test_generalized_binomial():
