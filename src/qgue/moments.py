@@ -64,7 +64,6 @@ from .symschur import (
 )
 
 __all__ = [
-    "DegenerateDenominator",
     "gaussian_moment",
     "hermite_norm",
     "normalization",
@@ -86,10 +85,6 @@ __all__ = [
 ]
 
 GENUS_MAX_M = 6
-
-
-class DegenerateDenominator(ArithmeticError):
-    """A printed closed form divides by zero for these parameters."""
 
 
 def gaussian_moment(n: int) -> Scalar:
@@ -268,8 +263,8 @@ def theorem5_rhs(m: int, s: int) -> Scalar:
     """Printed right-hand side of the telescoped single-H moment formula.
 
     Terms whose binomial prefactor vanishes are skipped before the printed
-    denominator 1 - q**(s+2+2t-m) is formed; a contributing term with a
-    vanishing denominator raises DegenerateDenominator.
+    denominator 1 - q**(s+2+2t-m) is formed, so no denominator is zero: if
+    s+2+2t-m = 0 then s+2t = m-2 < 2m-1, and [s+2t over 2m-1]_q = 0 skips t.
     """
     if m < 1 or s < 0:
         raise ValueError("needs m >= 1 and s >= 0")
@@ -279,15 +274,10 @@ def theorem5_rhs(m: int, s: int) -> Scalar:
         b2 = q_binomial(s + 2 * t, 2 * m - 1)
         if b1.is_zero or b2.is_zero:
             continue
-        e = s + 2 + 2 * t - m
-        if e == 0:
-            raise DegenerateDenominator(
-                f"printed denominator 1 - q^(s+2+2t-m) vanishes at t={t}"
-            )
         paren = (
             Scalar.q_power(1)
             * (ONE - Scalar.q_power(s + 1 - 2 * t))
-            / (ONE - Scalar.q_power(e))
+            / (ONE - Scalar.q_power(s + 2 + 2 * t - m))
             - ONE
         )
         term = Scalar.q_power(t * t + (5 - 2 * m) * t + s) * b1 * b2 * paren

@@ -153,6 +153,11 @@ def partitions(max_weight: int, max_length: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
+def _check_length(kappa: Partition, n_vars: int) -> None:
+    if kappa.length > n_vars:
+        raise ShapeError(f"partition '{kappa}' needs more than {n_vars} variables")
+
+
 def hook_partition(first: int, ones: int) -> Partition:
     return Partition((first,) + (1,) * ones)
 
@@ -277,8 +282,7 @@ def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
     of length <= n - 1 that interlace lam, lam_{i+1} <= mu_i <= lam_i.  The
     expansions of the mu are memoised for this call only.
     """
-    if kappa.length > n_vars:
-        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
+    _check_length(kappa, n_vars)
     lam = tuple(kappa.part(j) for j in range(n_vars))
     return MonomialMap(n_vars, _branch(lam, {(): {(): 1}}, n_vars))
 
@@ -313,8 +317,7 @@ class SchurVector:
         self.n_vars = n_vars
         clean = {}
         for p, c in entries.items():
-            if p.length > n_vars:
-                raise ShapeError(f"partition {p!r} too long for {n_vars} variables")
+            _check_length(p, n_vars)
             if not c.is_zero:
                 clean[p] = c
         self.entries = clean
@@ -345,8 +348,7 @@ def binomial_family(n: int) -> XPoly:
 
 def _family_coefficients(fam: PolyFamily, kappa: Partition, n_vars: int) -> CoefficientFn:
     """The coefficients of fam's columns of F_kappa, each checked monic of its degree."""
-    if kappa.length > n_vars:
-        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
+    _check_length(kappa, n_vars)
     polys = {}
     for col in range(n_vars):
         deg = kappa.part(col) + n_vars - 1 - col
@@ -394,8 +396,7 @@ def _coefficient_minor(
     l >= len(kappa) is monic of degree N - 1 - l, so it is zero above row l and
     1 on row l; C is block lower triangular with a unit block, and det C is its
     leading len(kappa) x len(kappa) minor, the only part read here."""
-    if kappa.length > n_vars:
-        raise ShapeError(f"partition {kappa!r} needs more than {n_vars} variables")
+    _check_length(kappa, n_vars)
     size = range(kappa.length)
     degrees = [kappa.part(col) + n_vars - 1 - col for col in size]
     exponents = [lam.part(row) + n_vars - 1 - row for row in size]

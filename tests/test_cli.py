@@ -107,6 +107,41 @@ def test_moment_hermite_sq(capsys):
     assert code == 0 and out.startswith("q^260+24q^261+")
 
 
+# stdout of `moment --hermite-sq M,S --method closed` at four (M, S) whose
+# printed Theorem 5 sum has a term with a vanishing denominator
+# 1 - q^(S+2+2t-M); each such term has a zero binomial prefactor and is skipped
+HERMITE_SQ_CLOSED = {
+    "2,0": "0\n",
+    "3,1": "(-1-4q-8q^2-12q^3-15q^4-16q^5-14q^6-10q^7-6q^8-3q^9-q^10)/(1+q^2)\n",
+    "6,0": "0\n",
+    "6,2": (
+        "(-1-8q-35q^2-110q^3-279q^4-609q^5-1191q^6-2141q^7-3598q^8-5718q^9-8666q^10"
+        "-12605q^11-17682q^12-24011q^13-31657q^14-40621q^15-50827q^16-62112q^17"
+        "-74224q^18-86828q^19-99519q^20-111841q^21-123313q^22-133459q^23-141838q^24"
+        "-148072q^25-151872q^26-153060q^27-151582q^28-147511q^29-141041q^30"
+        "-132474q^31-122198q^32-110659q^33-98331q^34-85688q^35-73176q^36-61188q^37"
+        "-50045q^38-39986q^39-31164q^40-23648q^41-17431q^42-12444q^43-8572q^44"
+        "-5670q^45-3578q^46-2135q^47-1190q^48-609q^49-279q^50-110q^51-35q^52-8q^53"
+        "-q^54)/(q^2+q^6)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(HERMITE_SQ_CLOSED))
+def test_moment_hermite_sq_closed_skips_vanishing_denominators(capsys, pair):
+    m, s = map(int, pair.split(","))
+    assert any(s + 2 + 2 * t == m for t in range(m + 1))
+    code, out, err = run(capsys, "moment", "--hermite-sq", pair, "--method", "closed")
+    assert (code, out) == (0, HERMITE_SQ_CLOSED[pair])
+    assert err == cli.CLOSED_FORM_BANNER + "\n"
+
+
+def test_moment_names_a_too_long_partition_as_written(capsys):
+    code, out, err = run(capsys, "moment", "--schur", "2,2,2", "--n-vars", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: partition '2,2,2' needs more than 2 variables\n"
+
+
 def test_moment_errors(capsys):
     code, _, err = run(capsys, "moment", "--power-sum", "3", "--n-vars", "2")
     assert code == 2 and "even" in err
@@ -192,6 +227,28 @@ def test_verify_discrepant_suite(capsys, tmp_path):
         p["params"] == {"N": 1, "ell": 1, "m": 1} and p.get("ratio") == "-1"
         for p in points
     )
+
+
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def test_default_verify_report_matches_golden_under_optimize():
+    # the headline report with every default bound, in both formats, from cold
+    # processes under -O, which strips assert statements
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = {
+        golden: subprocess.Popen(
+            [sys.executable, "-O", "-m", "qgue.cli", "verify", "--suite", "all", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for golden, flags in [
+            ("verify_all_default.json", ["--format", "json"]),
+            ("verify_all_default.txt", []),
+        ]
+    }
+    for golden, proc in runs.items():
+        out, err = proc.communicate(timeout=300)
+        assert (proc.returncode, out, err) == (1, (GOLDEN / golden).read_text(), "")
 
 
 def test_verify_json_stdout(capsys):

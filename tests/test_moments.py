@@ -34,6 +34,7 @@ from qgue import (
     pairing_genus_counts,
     partitions,
     power_sum_vector,
+    q_binomial,
     q_factorial,
     q_integer,
     qhz_lhs,
@@ -200,6 +201,19 @@ def test_theorem5_rhs():
     # terms, which are skipped, so this evaluates cleanly
     assert theorem5_rhs(3, 1) is not None
     assert theorem5_lhs(1, 1) == q_integer(3) / (Scalar.q_power(1) * q_factorial(2))
+
+
+def test_theorem5_denominator_vanishes_only_on_skipped_terms():
+    # theorem5_rhs forms 1 - q^(s+2+2t-m) only when [s+2t over 2m-1]_q is nonzero
+    vanishing = [
+        (m, s, t)
+        for m in range(1, 61)
+        for s in range(61)
+        for t in range(m + 1)
+        if s + 2 + 2 * t == m
+    ]
+    assert len(vanishing) == 900  # so the check below is not vacuous
+    assert all(q_binomial(s + 2 * t, 2 * m - 1).is_zero for m, s, t in vanishing)
 
 
 def test_qhz():

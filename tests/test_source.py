@@ -12,8 +12,8 @@ import qgue
 
 # Removing a name from qgue is a behaviour change: edit this list on purpose.
 PUBLIC_NAMES = [
-    "DegenerateDenominator", "GenusRow", "MonomialMap", "ONE", "Partition",
-    "PointResult", "PoleError", "QPolynomial", "SUITE_NAMES", "Scalar", "SchurVector",
+    "GenusRow", "MonomialMap", "ONE", "Partition", "PointResult", "PoleError",
+    "QPolynomial", "SUITE_NAMES", "Scalar", "SchurVector",
     "ShapeError", "SizeError", "SuiteResult", "XPoly", "ZERO", "apply_M0", "apply_M2",
     "binomial_family", "det", "evaluate_at", "family_expand", "functional_L",
     "gaussian_moment", "gaussian_op", "generalized_binomial", "genus_table",
