@@ -21,13 +21,14 @@ is Z[q]; rationals appear only where numbers come in or go out.
     Then, when both factors of a product, or the divisor and the quotient of
     a division, have at least _PACK_MIN_LEN = 16 coefficients, the lists are
     packed into single ints (Kronecker substitution: q = X = 2**(8 w) for
-    slots of w bytes, signed coefficients in balanced slots; packing and
-    unpacking go through `int.to_bytes`/`int.from_bytes` in linear time) and
-    CPython's big-int `*` and `divmod` do the work.  A product's slots hold
-    its coefficients by a width bound.  A division makes one packed try at
-    the quotient's width, bits(a) - bits(g) + 1, else the schoolbook loop
-    decides; see `_int_divides`.  One schoolbook division loop,
-    `_int_divmod`, serves both exact division in Z[q] and the
+    slots of w bytes, signed coefficients in balanced slots) and CPython's
+    big-int `*` and `divmod` do the work.  Both ends are linear: `_pack`
+    writes each slot with `int.to_bytes`, and `_unpack` reads the slots as
+    64-bit limb lanes with `struct` and joins them with `map`.  A product's
+    slots hold its coefficients by a width bound.  A division makes one
+    packed try at the quotient's width, bits(a) - bits(g) + 1, else the
+    schoolbook loop decides; see `_int_divides`.  One schoolbook division
+    loop, `_int_divmod`, serves both exact division in Z[q] and the
     pseudo-remainders of the one gcd, Collins' subresultant PRS on primitive
     integer lists.
   * `Scalar`: an element num/den of Q(q) held as a canonical integer pair:
@@ -38,9 +39,11 @@ is Z[q]; rationals appear only where numbers come in or go out.
     a single nonzero coefficient (a constant among them) is coprime to the
     other, so such a pair skips the exact division and the gcd, and both
     sides are divided once by their signed joint content when it is not 1.
-    Otherwise each side splits into content and primitive part; by Gauss's
-    lemma one exact division of the primitive parts decides whether den
-    divides num over Q, and when it does not, their gcd is divided out.
+    Otherwise each side splits into content and primitive part, num keeping
+    its sign and den made positive-leading; by Gauss's lemma one exact
+    division of the primitive parts decides whether den divides num over Q,
+    and when it does not, their gcd is divided out.  Sums trim their top
+    without revalidating, and negation and scaling run through `map`.
 
 Scalars print with a monic denominator: `str` and `latex` divide both sides
 by lc(den), and that is the only place a rational coefficient is built.
@@ -53,9 +56,10 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import Iterable, Optional
 
 __all__ = [
@@ -215,10 +219,24 @@ def _slots(x: int, n: int, width: int) -> Optional[bytes]:
 
 
 def _unpack(slots: bytes, width: int):
-    """The coefficients in slots of `width` bytes; inverse of `_pack`, also linear."""
-    half = 1 << (8 * width - 1)
-    cut = range(0, len(slots), width)
-    return [int.from_bytes(slots[i : i + width], "little") - half for i in cut]
+    """The coefficients in slots of `width` bytes; inverse of `_pack`, also linear.
+
+    Bytes k to k + 7 of every slot (k a multiple of 8) go into the 8-byte
+    slots of limb lane k, zero-padded past the slot's end, one slice
+    assignment per byte; one `struct.unpack` reads each lane as 64-bit
+    little-endian limbs, and `map` joins the limbs and takes off the half
+    slots, so no Python loop runs over the coefficients.
+    """
+    n = len(slots) // width
+    limbs = "<%dQ" % n
+    out = ()
+    for k in range(0, width, 8):
+        lane = bytearray(8 * n)
+        for b in range(k, min(k + 8, width)):
+            lane[b - k :: 8] = slots[b::width]
+        lane = struct.unpack(limbs, lane)
+        out = map(operator.or_, out, map(operator.lshift, lane, repeat(8 * k))) if k else lane
+    return list(map(operator.sub, out, repeat(1 << (8 * width - 1))))
 
 
 def _product_bytes(a, b) -> int:
@@ -439,13 +457,19 @@ class _Dense:
         return f"{type(self).__name__}({self})"
 
     def __add__(self, other):
-        return type(self)(_plus(self.coeffs, other.coeffs))
+        if type(other) is not type(self):
+            return NotImplemented
+        cs = _plus(self.coeffs, other.coeffs)
+        if cs and not cs[-1]:
+            # the top cancelled: drop every trailing zero, found at C speed
+            cs = cs[: len(cs) - next(compress(count(), reversed(cs)), len(cs))]
+        return self._raw(cs)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._raw(tuple(-c for c in self.coeffs))
+        return self._raw(tuple(map(operator.neg, self.coeffs)))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -459,8 +483,8 @@ class _Dense:
             return self
         if type(c) is type(self._one):
             # a nonzero multiplier from the ring keeps the top coefficient nonzero
-            return self._raw(tuple(x * c for x in self.coeffs))
-        return type(self)(x * c for x in self.coeffs)
+            return self._raw(tuple(map(operator.mul, self.coeffs, repeat(c))))
+        return type(self)(map(operator.mul, self.coeffs, repeat(c)))
 
     def shifted(self, j: int):
         """Multiply by the variable**j (j >= 0) or strip j known-zero low coefficients (j < 0)."""
@@ -593,13 +617,7 @@ def _poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 
 def _divided(p: QPolynomial, c: int) -> QPolynomial:
     """p with every coefficient divided by c, which divides them all."""
-    return p if c == 1 else QPolynomial._raw(tuple(x // c for x in p.coeffs))
-
-
-def _split(p: QPolynomial):
-    """(content, primitive part) of a nonzero polynomial, the part positive-leading."""
-    c = _content(p.coeffs)
-    return c, _divided(p, c)
+    return p if c == 1 else QPolynomial._raw(tuple(map(operator.floordiv, p.coeffs, repeat(c))))
 
 
 def _reduce_pair(num: QPolynomial, den: QPolynomial):
@@ -621,8 +639,10 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
         g = math.gcd(*den.coeffs, *num.coeffs)
         g = g if den.leading > 0 else -g
         return _divided(num, g), _divided(den, g)
-    cn, num = _split(num)
-    cd, den = _split(den)
+    # each side loses its content: num keeps its sign, den is made positive-leading
+    cn = math.gcd(*num.coeffs)
+    cd = _content(den.coeffs)
+    num, den = _divided(num, cn), _divided(den, cd)
     quot = num.exact_div(den)  # by Gauss's lemma, exact over Z exactly when over Q
     if quot is not None:
         num, den = quot, _QP_ONE
@@ -631,7 +651,7 @@ def _reduce_pair(num: QPolynomial, den: QPolynomial):
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-    # num and den are now coprime, primitive and positive-leading: divide out
+    # num and den are now coprime and primitive, and lc(den) > 0: divide out
     # the joint content gcd(cn, cd), with the sign that makes lc(den) > 0
     g = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)
     return num.scale(cn // g), den.scale(cd // g)

@@ -85,17 +85,6 @@ class Partition:
             raise ValueError(f"parts must be nonnegative, got {ps[-1]}")
         self.parts = tuple(ps)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not text:
-            return cls()
-        try:
-            parts = [int(p) for p in text.split(",")]
-        except ValueError:
-            raise ValueError(f"partition must be comma-separated integers, got {text!r}") from None
-        return cls(parts)
-
     @property
     def weight(self) -> int:
         return sum(self.parts)

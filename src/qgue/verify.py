@@ -125,9 +125,9 @@ def _duality(max_n: int) -> Iterator[PointResult]:
                 t = series_coefficient(j, "e", squared) * series_coefficient(
                     d - j, "E", squared
                 )
-                if (d - j) % 2:
-                    t = -t
-                total = total + t * factor
+                # the sign goes on once, as a subtraction of the cleared term
+                t = t * factor
+                total = total - t if (d - j) % 2 else total + t
             expected = factor if d == 0 else ZERO
             yield _classify((("d", d), ("base", "q^2" if squared else "q")), total, expected)
 
@@ -293,22 +293,22 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
 # theorem5 and qhz lines were re-timed on one machine after the one-variable
-# moments became path counts, the theorem1, theorem2 and truncation lines
-# after the fast Schur integral read the shadow coefficients from their closed
-# form and the truncation suite built each direct map once, and the duality
-# line after the packed exact division ran at its quotient's slot width
-# (past the cap timed in process through the suite generator), and the
-# theorem3, theorem4 and sigma lines after the monomial oracle moved to byte
-# keys (six runs over two host loads); the qhz, theorem1, truncation and
-# duality caps now sit below that range, and every bound stays until the
-# caps are re-derived.  Caps on two bounds are timed
+# moments became path counts, the duality line after the packed exact
+# division ran at its quotient's slot width, and with six runs over two host
+# loads each, the theorem3, theorem4 and sigma lines after the monomial
+# oracle moved to byte keys and the theorem1, theorem2 and truncation lines
+# after the Scalar path applied each sign once and unpacked limb lanes.  Past
+# a cap, the duality, theorem1, theorem2 and truncation lines time the suite
+# generator in a fresh process.  The qhz, theorem1, theorem2, truncation and
+# duality caps now sit below that range, and every bound stays until the caps
+# are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
 #   duality max_n 40: 2.6-2.8 s (41: 2.4-2.9 s, 50: 7.5-8.0 s);
-#   truncation max_total 23: 3.9-4.5 s (24: 4.8-5.5 s);
-#   theorem1 max_weight 12, max_vars 17: 7.1-8.3 s (max_vars 18: 9.1-10.5 s,
-#     max_weight 14: 18-20 s);
-#   theorem2 max_vars 8, max_ell 17: 10.5-11.9 s (max_vars 9: 19.6-20.6 s);
+#   truncation max_total 23: 0.9-1.2 s (24: 1.0-1.5 s);
+#   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
+#     max_weight 14: 2.9-4.6 s);
+#   theorem2 max_vars 8, max_ell 17: 1.4-2.2 s (max_vars 9: 2.7-4.1 s);
 #   theorem5 2(m+s) 52: 11-13 s at (17, 9) and (16, 10) (54: 15-19 s at (18, 9));
 #   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
 #   theorem3 max_weight 14: 7.3-13.8 s at max_vars 5 (15: 10.6-18.6 s).

@@ -38,6 +38,7 @@ from qgue.exactq import (
     _poly_gcd,
     _primitive,
     _slot_bytes,
+    _slots,
     _stride,
     _subresultant_gcd,
     _unpack,
@@ -699,6 +700,103 @@ def test_division_tries_one_width_then_the_schoolbook_loop(kind, data):
     r = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=len(g) - 1).filter(any))
     a_r = [c + (r[i] if i < len(r) else 0) for i, c in enumerate(a)]
     assert _int_divides(g, a_r) is None and _plain(_int_divides, g, a_r) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 24), st.data())
+@example(8, None)  # one full limb lane
+@example(9, None)  # a second lane holding one byte
+@example(16, None)
+@example(17, None)  # a third lane
+def test_unpack_reads_limb_lanes(width, data):
+    # `_unpack` reads 8-byte limb lanes with struct and joins them; the
+    # reference reads each slot on its own, as a little-endian int less half
+    # a slot.  Coefficients reach both ends of a balanced slot.
+    half = 2 ** (8 * width - 1)
+    edges = (-half, half - 1, 0, -1, 1)
+    if data is None:
+        cs = [*edges, half // 3, -half // 5]
+    else:
+        n = data.draw(st.integers(1, 300))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        cs = [
+            rng.choice(edges) if rng.random() < 0.2 else rng.randrange(-half, half)
+            for _ in range(n)
+        ]
+    slots = _slots(exactq._eval_int(cs, 2 ** (8 * width)), len(cs), width)
+    cut = range(0, len(slots), width)
+    want = [int.from_bytes(slots[i : i + width], "little") - half for i in cut]
+    assert want == cs
+    assert _unpack(slots, width) == want
+
+
+def _reduce_branch(branch, draw):
+    """(num, den) whose reduction takes the given branch of `_reduce_pair`."""
+    c = draw(st.integers(-30, 30).filter(bool))
+    g = draw(int_poly.filter(lambda x: len(x) > 1 and x[0]))
+    h = draw(int_poly)
+    shift = [0] * draw(st.integers(0, 3))
+    if branch == "one-term":
+        mono = shift + [c]
+        return (mono, g) if draw(st.booleans()) else (_plain(_mul_int, g, h), mono)
+    if branch == "exact":
+        # g has two terms or more, so k g h does too, and g divides it over Q
+        k = draw(st.sampled_from((1, 2, -6)))
+        return shift + [k * x for x in _plain(_mul_int, g, h)], [c * x for x in g]
+    # gcd: (q + 2) g does not divide g h when h(-2) != 0, and g is left over
+    h = h if exactq._eval_int(h, -2) else h + [1]
+    return _plain(_mul_int, g, h), shift + [c * x for x in _plain(_mul_int, [2, 1], g)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("one-term", "exact", "gcd")), st.data())
+def test_negated_numerator_reduces_to_the_negated_value(branch, data):
+    # `_reduce_pair` keeps the numerator's sign through every branch instead
+    # of making it positive-leading and negating the result back
+    a, b = _reduce_branch(branch, data.draw)
+    num, den = QPolynomial(a), QPolynomial(b)
+    with mock.patch.object(exactq, "_poly_gcd", side_effect=_poly_gcd) as gcd, mock.patch.object(
+        QPolynomial, "exact_div", autospec=True, side_effect=QPolynomial.exact_div
+    ) as div:
+        s = Scalar(num, den)
+    assert (div.call_count > 0, gcd.call_count > 0) == {
+        "one-term": (False, False),
+        "exact": (True, False),
+        "gcd": (True, True),
+    }[branch]
+    t = Scalar(-num, den)
+    assert t == -s and t.num.coeffs == tuple(-x for x in s.num.coeffs) and t.den == s.den
+    assert t.den.leading > 0
+    for x in (3, Fraction(-1, 2)):
+        if den(x):
+            assert evaluate_at(t, x) == -Fraction(num(x)) / den(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda c: c[-1]),
+)
+@example([1, 2], [-1, -2], [3])  # cancels to zero
+@example([1, 2, 0], [0, -2, 0], [0, 1])  # cancels down to one coefficient
+def test_cancelling_sums_stay_trimmed(low_a, low_b, top):
+    # a = low_a + q^m top and b = low_b - q^m top: the top cancels in a + b,
+    # and the sum, built without the validating constructor, must still be
+    # trimmed and equal to the constructor-built value
+    m = max(len(low_a), len(low_b))
+    low_a, low_b = (low + [0] * (m - len(low)) for low in (low_a, low_b))
+    a, b = low_a + top, low_b + [-x for x in top]
+    want = [x + y for x, y in zip(low_a, low_b)]
+    for make in (QPolynomial, _xpoly):
+        total = make(a) + make(b)
+        assert total == make(want)
+        assert not total.coeffs or total.coeffs[-1]
+        assert (make(a) - make(a)).coeffs == ()
+    with pytest.raises(TypeError):
+        QPolynomial(a) + _xpoly(b)
+    with pytest.raises(TypeError):
+        _xpoly(a) + QPolynomial(b)
 
 
 def test_stride_takes_one_scan():

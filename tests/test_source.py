@@ -67,6 +67,20 @@ def test_no_benchmark_imports():
     assert not found, f"imports of perfbench in src/qgue: {found}"
 
 
+def test_imports_only_itself_and_the_standard_library():
+    # pyproject.toml declares no dependencies, so an import of an installed
+    # third-party package (numpy, sympy) would pass here and fail elsewhere
+    allowed = sys.stdlib_module_names | {"qgue"}
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        for name in _imported_modules(node)
+        if name.split(".")[0] not in allowed
+    ]
+    assert not found, f"imports outside qgue and the standard library: {found}"
+
+
 def _tracer_tables():
     """EXTRA and CLASSES of perfbench/tracer.py, read with ast: the package does not import it."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"

@@ -47,8 +47,8 @@ P = Partition
 def test_partition_basics():
     p = P((3, 1, 1))
     assert str(p) == "3,1,1"
-    assert P.from_string("3,1,1") == p
-    assert P.from_string("") == P()
+    assert P([3, 1, 1]) == p and P(iter((3, 1, 1, 0))) == p
+    assert P([]) == P() and P([0, 0]) == P()
     assert p.weight == 5 and p.length == 3
     assert p.part(0) == 3 and p.part(5) == 0
     assert P((3, 1)).contains(P((2, 1))) and not P((2, 2)).contains(P((3,)))
