@@ -235,6 +235,10 @@ def cmd_table(args) -> int:
     if not args.harer_zagier:
         raise ValueError("table requires --harer-zagier")
     rows = genus_table(args.max_m)
+    # each row's counts and its pairing oracle's, in order of genus
+    counts = [
+        [",".join(str(d[g]) for g in sorted(d)) for d in (r.coefficients, r.pairing)] for r in rows
+    ]
     if args.format == "json":
         obj = [
             {
@@ -249,18 +253,14 @@ def cmd_table(args) -> int:
     elif args.format == "latex":
         print(r"\begin{tabular}{rlll}")
         print(r"m & counts by genus & pairing oracle & match \\")
-        for r in rows:
-            coeffs = ",".join(str(r.coefficients[g]) for g in sorted(r.coefficients))
-            oracle = ",".join(str(r.pairing[g]) for g in sorted(r.pairing))
+        for r, (coeffs, oracle) in zip(rows, counts):
             ok = "yes" if r.matches else "no"
             print(f"{r.m} & {coeffs} & {oracle} & {ok} " + r"\\")
         print(r"\end{tabular}")
     else:
         fmt = "{:>3} {:>24} {:>24} {:>9}"
         print(fmt.format("m", "coefficients (g=0,1,..)", "pairing oracle", "match"))
-        for r in rows:
-            coeffs = ",".join(str(r.coefficients[g]) for g in sorted(r.coefficients))
-            oracle = ",".join(str(r.pairing[g]) for g in sorted(r.pairing))
+        for r, (coeffs, oracle) in zip(rows, counts):
             print(fmt.format(r.m, coeffs, oracle, "match" if r.matches else "MISMATCH"))
     return 0 if all(r.matches for r in rows) else 1
 

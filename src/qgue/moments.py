@@ -49,7 +49,7 @@ from .exactq import (
     q_factorial,
     q_integer,
 )
-from .qxpoly import XPoly
+from .qxpoly import XPoly, gaussian_moment
 from .symschur import (
     MonomialMap,
     Partition,
@@ -64,7 +64,6 @@ from .symschur import (
 )
 
 __all__ = [
-    "gaussian_moment",
     "hermite_norm",
     "normalization",
     "integrate_schur",
@@ -85,13 +84,6 @@ __all__ = [
 ]
 
 GENUS_MAX_M = 6
-
-
-def gaussian_moment(n: int) -> Scalar:
-    """L(x**n): zero for odd n and M_q(n-1) for even n (see `functional_L`)."""
-    if n < 0:
-        raise ValueError("gaussian_moment needs n >= 0")
-    return ZERO if n % 2 else m_q(n - 1)
 
 
 def hermite_norm(j: int) -> Scalar:

@@ -38,6 +38,7 @@ __all__ = [
     "shadow_hermite",
     "truncated_shadow",
     "truncated_in_shadow_basis",
+    "gaussian_moment",
     "functional_L",
     "hermite_expand",
 ]
@@ -134,9 +135,9 @@ def hermite(n: int) -> XPoly:
 
 @lru_cache(maxsize=None)
 def _shadow_coefficient(n: int, e: int) -> Scalar:
-    """[x**e] S_n = [n over e]_q M_q(n-e-1), zero unless n - e is even and nonnegative."""
+    """[x**e] S_n = [n over e]_q L(x**(n-e)), zero unless n - e is even and nonnegative."""
     d = n - e
-    return ZERO if d < 0 or d % 2 else q_binomial(n, d) * m_q(d - 1)
+    return ZERO if d < 0 or d % 2 else q_binomial(n, d) * gaussian_moment(d)
 
 
 def shadow_hermite(n: int) -> XPoly:
@@ -192,6 +193,13 @@ def _direct_shadow_map(N: int, ell: int) -> Tuple[Tuple[int, Scalar], ...]:
     return tuple((k, c) for k, c in enumerate(image.coeffs) if not c.is_zero)
 
 
+def gaussian_moment(n: int) -> Scalar:
+    """L(x**n): zero for odd n and M_q(n-1) for even n (see `functional_L`)."""
+    if n < 0:
+        raise ValueError("gaussian_moment needs n >= 0")
+    return ZERO if n % 2 else m_q(n - 1)
+
+
 def functional_L(p: XPoly) -> Scalar:
     """The formal q-Gaussian expectation: constant term of the inverse operator image.
 
@@ -199,12 +207,13 @@ def functional_L(p: XPoly) -> Scalar:
     inverse operator is sum_j T**j / [j]!_{q^2}.  T**j lowers the degree by
     2j, so odd powers of x never reach x**0 and only j = k sends x**(2k)
     there, to prod_{i=1..k} [2i]_q [2i-1]_q / ([2]_q [i]_{q^2}) = M_q(2k-1),
-    since [2i]_q = [2]_q [i]_{q^2}.  By linearity L(p) = sum_k p_{2k} M_q(2k-1).
+    since [2i]_q = [2]_q [i]_{q^2}.  By linearity L(p) = sum_n p_n L(x**n),
+    with L(x**n) = `gaussian_moment`(n).
     """
     total = ZERO
-    for k, c in enumerate(p.coeffs[::2]):
+    for n, c in enumerate(p.coeffs):
         if not c.is_zero:
-            total = total + c * m_q(2 * k - 1)
+            total = total + c * gaussian_moment(n)
     return total
 
 

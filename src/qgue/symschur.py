@@ -28,8 +28,7 @@ Schur coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations, product
-from operator import add
+from itertools import permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from .exactq import ONE, ZERO, Scalar
@@ -155,11 +154,11 @@ Coefficient = Union[int, Scalar]
 
 
 class MonomialMap:
-    """Sparse multivariate polynomial: exponent tuples of fixed length to
-    coefficients, int in every map the library builds.  Coefficients are only
-    added, multiplied and tested for truth, so Scalar values work too.
-    Exponents are nonnegative: a product of maps that hold a negative one,
-    or of maps in different numbers of variables, raises ValueError."""
+    """Sparse multivariate polynomial: it holds the terms, exponent tuples of
+    fixed length to coefficients, int in every map the library builds.
+    Coefficients are only added, multiplied and tested for truth, so Scalar
+    values work too.  The map has no arithmetic: the oracle multiplies on
+    keys (`_key`), which refuse a negative exponent."""
 
     __slots__ = ("n_vars", "terms")
 
@@ -189,29 +188,6 @@ class MonomialMap:
         if isinstance(other, MonomialMap):
             return self.n_vars == other.n_vars and self.terms == other.terms
         return NotImplemented
-
-    def __add__(self, other: "MonomialMap") -> "MonomialMap":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MonomialMap(self.n_vars, out)
-
-    def __mul__(self, other: "MonomialMap") -> "MonomialMap":
-        if other.n_vars != self.n_vars:
-            raise ValueError("maps in different numbers of variables")
-        if min(chain.from_iterable(chain(self.terms, other.terms)), default=0) < 0:
-            raise ValueError("exponents must be nonnegative")
-        out: Dict[Tuple[int, ...], Coefficient] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(map(add, ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return MonomialMap(self.n_vars, out)
-
-    def scale(self, c: Coefficient) -> "MonomialMap":
-        if not c:
-            return MonomialMap(self.n_vars)
-        return MonomialMap(self.n_vars, {e: v * c for e, v in self.terms.items()})
 
     def __repr__(self) -> str:
         items = sorted(self.terms)

@@ -206,7 +206,7 @@ def univariate_to_monomials(p: XPoly, var: int, n_vars: int) -> MonomialMap:
 
 def family_alternant(polys, n_vars) -> MonomialMap:
     """det[polys[j](x_i)] expanded into monomials by permutation sum."""
-    total = MonomialMap(n_vars)
+    total = {}
     for perm in permutations(range(n_vars)):
         inv = sum(
             1
@@ -216,9 +216,10 @@ def family_alternant(polys, n_vars) -> MonomialMap:
         )
         prod_map = MonomialMap.constant(n_vars, ONE if inv % 2 == 0 else -ONE)
         for i in range(n_vars):
-            prod_map = prod_map * univariate_to_monomials(polys[perm[i]], i, n_vars)
-        total = total + prod_map
-    return total
+            prod_map = tuple_product(prod_map, univariate_to_monomials(polys[perm[i]], i, n_vars))
+        for e, c in prod_map.terms.items():
+            total[e] = total.get(e, 0) + c
+    return MonomialMap(n_vars, total)
 
 
 def euclid_gcd(a, b):

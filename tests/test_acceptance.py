@@ -117,7 +117,7 @@ def test_criterion_06_level_density_equivalence():
 
 def test_criterion_07_multivariate_orthogonality():
     from qgue import apply_M0, gaussian_moment, partitions
-    from oracles import family_alternant
+    from oracles import family_alternant, tuple_product
 
     n = 2
     ok = True
@@ -126,7 +126,7 @@ def test_criterion_07_multivariate_orthogonality():
         da = family_alternant([hermite(ka.part(c) + n - 1 - c) for c in range(n)], n)
         for kb in kappas:
             db = family_alternant([hermite(kb.part(c) + n - 1 - c) for c in range(n)], n)
-            got = apply_M0(da * db, gaussian_moment)
+            got = apply_M0(tuple_product(da, db), gaussian_moment)
             if ka != kb:
                 ok = ok and got == ZERO
             else:

@@ -42,6 +42,7 @@ from qgue.exactq import (
     _stride,
     _subresultant_gcd,
     _unpack,
+    _value,
 )
 from qgue.verify import verify_suite
 
@@ -728,6 +729,29 @@ def test_unpack_reads_limb_lanes(width, data):
     want = [int.from_bytes(slots[i : i + width], "little") - half for i in cut]
     assert want == cs
     assert _unpack(slots, width) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.data())
+@example(8, 3, None)  # lanes narrower than the slots, the last one partial
+@example(9, 9, None)  # its own width
+@example(2, 17, None)  # slots wider than the packed ones
+def test_value_at_another_width(width, at, data):
+    # `_value` re-slots the packed list lane by lane when `at` differs from
+    # `width`; the reference is Horner's rule at q = 2**(8 at).  Coefficients
+    # reach both ends of a balanced slot.
+    half = 2 ** (8 * width - 1)
+    edges = (1 - half, half - 1, 0, -1, 1)
+    if data is None:
+        cs = [*edges, half // 3, -half // 5]
+    else:
+        n = data.draw(st.integers(1, 100))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        cs = [
+            rng.choice(edges) if rng.random() < 0.2 else rng.randrange(1 - half, half)
+            for _ in range(n)
+        ]
+    assert _value(_pack(cs, width), width, at) == exactq._eval_int(cs, 2 ** (8 * at))
 
 
 def _reduce_branch(branch, draw):

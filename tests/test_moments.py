@@ -51,6 +51,7 @@ from oracles import (
     operator_series,
     pairing_genus_counts_by_matchings,
     telescoped_even_moments,
+    tuple_product,
 )
 
 P = Partition
@@ -237,7 +238,7 @@ def test_multivariate_hermite_orthogonality():
         for kb in kappas:
             fb = [hermite(kb.part(col) + n - 1 - col) for col in range(n)]
             db = family_alternant(fb, n)
-            got = apply_M0(da * db, gaussian_moment)
+            got = apply_M0(tuple_product(da, db), gaussian_moment)
             if ka != kb:
                 assert got == ZERO
             else:

@@ -36,6 +36,18 @@ def _trees():
     return [(path, ast.parse(path.read_text(), str(path))) for path in paths]
 
 
+def test_modules_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, and syntax new in a
+    # later version (except*, PEP 695 generics) would fail to import there
+    found = []
+    for path in sorted(Path(qgue.__file__).parent.glob("*.py")):
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append(f"{path.name}:{exc.lineno} {exc.msg}")
+    assert not found, f"syntax newer than Python 3.10 in src/qgue: {found}"
+
+
 def test_no_runtime_asserts():
     # `python -O` strips assert statements, so a runtime check must raise
     found = [
