@@ -24,7 +24,7 @@ from .moments import (
     p2m_closed_form,
     theorem5_rhs,
 )
-from .symschur import Partition, SizeError
+from .symschur import Partition, SizeError, _check_length
 from .verify import (
     SUITE_NAMES,
     _json_text,
@@ -187,6 +187,7 @@ def cmd_moment(args) -> int:
             _check_moment_size(n_vars, kappa.part(0), kappa.weight)
         query.update({"kind": "schur", "partition": str(kappa)})
         if args.method == "closed":
+            _check_length(kappa, n_vars)
             parts = kappa.parts
             if not parts or any(p != 1 for p in parts[1:]) or kappa.weight % 2:
                 raise ValueError("--method closed needs a hook partition of even weight")

@@ -149,10 +149,17 @@ def _stride(a, b):
 
 
 def _inflate(cs, k):
-    """Substitute q -> q^k in a coefficient list."""
+    """Substitute q -> q^k in a coefficient sequence, giving a list."""
     out = [0] * ((len(cs) - 1) * k + 1)
     out[::k] = cs
     return out
+
+
+def _trimmed(cs):
+    """cs without its trailing falsy entries, which are found at C speed."""
+    if cs and not cs[-1]:
+        cs = cs[: len(cs) - next(compress(count(), reversed(cs)), len(cs))]
+    return cs
 
 
 # Both lists of a product, and the divisor and quotient of a division, need at
@@ -184,27 +191,31 @@ def _pack(cs, width: int) -> bytes:
     return b"".join([(c + half).to_bytes(width, "little") for c in cs])
 
 
+def _lanes(slots: bytes, width: int, at: int):
+    """(k, lane) for k = 0, at, 2 at, ... < width: lane k holds bytes k to k + at - 1 of
+    each `width`-byte slot in an `at`-byte slot, zero-padded, one slice per byte."""
+    n = len(slots) // width
+    for k in range(0, width, at):
+        lane = bytearray(n * at)
+        for b in range(k, min(k + at, width)):
+            lane[b - k :: at] = slots[b::width]
+        yield k, lane
+
+
 def _value(slots: bytes, width: int, at: Optional[int] = None) -> int:
     """The list packed at `width` bytes, evaluated at q = 2**(8 at) (at = width by default).
 
     Linear, with no loop over the coefficients: at its own width the slots
-    are read as one int.  At another width, bytes k to k + at - 1 of every
-    slot go into the `at`-byte slots of lane k (k a multiple of at), one
-    slice assignment per byte, so sum 2**(8 k) lane_k is the list plus half
-    a `width` slot in each coefficient; the half slots are subtracted.
+    are read as one int.  At another width, sum 2**(8 k) lane_k over the
+    `_lanes` is the list plus half a `width` slot in each coefficient; the
+    half slots are subtracted.
     """
     at = at or width
-    n = len(slots) // width
     if at == width:
         x = int.from_bytes(slots, "little")
     else:
-        x = 0
-        for k in range(0, width, at):
-            lane = bytearray(n * at)
-            for b in range(k, min(k + at, width)):
-                lane[b - k :: at] = slots[b::width]
-            x += int.from_bytes(lane, "little") << (8 * k)
-    return x - _half_slots(n, width, at)
+        x = sum(int.from_bytes(lane, "little") << (8 * k) for k, lane in _lanes(slots, width, at))
+    return x - _half_slots(len(slots) // width, width, at)
 
 
 def _slots(x: int, n: int, width: int) -> Optional[bytes]:
@@ -221,19 +232,13 @@ def _slots(x: int, n: int, width: int) -> Optional[bytes]:
 def _unpack(slots: bytes, width: int):
     """The coefficients in slots of `width` bytes; inverse of `_pack`, also linear.
 
-    Bytes k to k + 7 of every slot (k a multiple of 8) go into the 8-byte
-    slots of limb lane k, zero-padded past the slot's end, one slice
-    assignment per byte; one `struct.unpack` reads each lane as 64-bit
-    little-endian limbs, and `map` joins the limbs and takes off the half
-    slots, so no Python loop runs over the coefficients.
+    The 8-byte `_lanes` hold the slots' 64-bit limbs; one `struct.unpack`
+    reads each lane as little-endian limbs, and `map` joins the limbs and
+    takes off the half slots, so no Python loop runs over the coefficients.
     """
-    n = len(slots) // width
-    limbs = "<%dQ" % n
+    limbs = "<%dQ" % (len(slots) // width)
     out = ()
-    for k in range(0, width, 8):
-        lane = bytearray(8 * n)
-        for b in range(k, min(k + 8, width)):
-            lane[b - k :: 8] = slots[b::width]
+    for k, lane in _lanes(slots, width, 8):
         lane = struct.unpack(limbs, lane)
         out = map(operator.or_, out, map(operator.lshift, lane, repeat(8 * k))) if k else lane
     return list(map(operator.sub, out, repeat(1 << (8 * width - 1))))
@@ -401,10 +406,7 @@ class _Dense:
     _one = 1
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed(tuple(coeffs))
 
     @classmethod
     def _raw(cls, coeffs: tuple):
@@ -459,11 +461,7 @@ class _Dense:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        cs = _plus(self.coeffs, other.coeffs)
-        if cs and not cs[-1]:
-            # the top cancelled: drop every trailing zero, found at C speed
-            cs = cs[: len(cs) - next(compress(count(), reversed(cs)), len(cs))]
-        return self._raw(cs)
+        return self._raw(_trimmed(_plus(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -591,9 +589,7 @@ def _subresultant_gcd(a, b):
         qr = _int_divmod(b, [c * lc for c in a])
         if qr is None:
             raise ArithmeticError("pseudo-remainder is not integral; need integer lists")
-        rem = qr[1]
-        while rem and rem[-1] == 0:
-            rem.pop()
+        rem = _trimmed(qr[1])
         if not rem:
             return _primitive(b)
         divisor = g * h**delta
@@ -930,11 +926,7 @@ def q_integer(n: int, squared: bool = False) -> Scalar:
         raise ValueError("q_integer needs n >= 0")
     if n == 0:
         return ZERO
-    step = 2 if squared else 1
-    coeffs = [0] * ((n - 1) * step + 1)
-    for i in range(n):
-        coeffs[i * step] = 1
-    return Scalar._make(QPolynomial._raw(tuple(coeffs)), _QP_ONE)
+    return Scalar._make(QPolynomial._raw(tuple(_inflate((1,) * n, 2 if squared else 1))), _QP_ONE)
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
-from .exactq import ONE, ZERO, Scalar
+from .exactq import ONE, ZERO, Scalar, _trimmed
 from .qxpoly import XPoly, _shadow_coefficient
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "vandermonde",
     "family_expand",
     "sigma_at_zero",
-    "hook_decomposition",
     "power_sum_vector",
     "power_sum_monomials",
     "apply_M0",
@@ -74,9 +73,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = list(parts)
-        while ps and ps[-1] == 0:
-            ps.pop()
+        ps = _trimmed(list(parts))
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {a} before {b}")
@@ -292,9 +289,6 @@ class SchurVector:
             return self.n_vars == other.n_vars and self.entries == other.entries
         return NotImplemented
 
-    def to_json_obj(self) -> Dict[str, str]:
-        return {str(p): str(self.entries[p]) for p in sorted(self.entries)}
-
     def __repr__(self) -> str:
         body = ", ".join(f"({p}): {c}" for p, c in sorted(self.entries.items()))
         return f"SchurVector({{{body}}}, n_vars={self.n_vars})"
@@ -391,20 +385,14 @@ def sigma_at_zero(kappa: Partition, n_vars: int) -> Scalar:
     return _coefficient_minor(_shadow_coefficient, n_vars, kappa, Partition())
 
 
-def hook_decomposition(m: int, n_vars: int) -> List[Tuple[int, Partition]]:
-    """Signed hooks of p_{2m}: (+/-1, (2m - i, 1^i)), dropping lengths > n_vars."""
-    if m < 1:
-        raise ValueError("hook_decomposition needs m >= 1")
-    out = []
-    for i in range(2 * m):
-        if i + 1 <= n_vars:
-            out.append((-1 if i % 2 else 1, hook_partition(2 * m - i, i)))
-    return out
-
-
 def power_sum_vector(m: int, n_vars: int) -> SchurVector:
-    """p_{2m} as a SchurVector in n_vars variables."""
-    entries = {p: (ONE if s > 0 else -ONE) for s, p in hook_decomposition(m, n_vars)}
+    """p_{2m} as a SchurVector in n_vars variables: the signed hooks
+    (-1)**i s_(2m - i, 1^i) that fit, entered in order of i."""
+    if m < 1:
+        raise ValueError("power_sum_vector needs m >= 1")
+    entries = {
+        hook_partition(2 * m - i, i): -ONE if i % 2 else ONE for i in range(min(2 * m, n_vars))
+    }
     return SchurVector(entries, n_vars)
 
 

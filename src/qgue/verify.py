@@ -18,7 +18,14 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from .exactq import ZERO, Scalar, q_factorial, series_coefficient
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
-from .symschur import SizeError, check_oracle_size, hook_partition, partitions, sigma_at_zero
+from .symschur import (
+    SizeError,
+    check_oracle_size,
+    hook_partition,
+    partitions,
+    power_sum_vector,
+    sigma_at_zero,
+)
 from .moments import (
     hermite_norm,
     hook_moment_closed_form,
@@ -177,29 +184,25 @@ def _theorem3_rows(rows: Iterable[Tuple[int, int]]) -> Iterator[PointResult]:
 def _theorem4(max_weight: int, max_vars: int) -> Iterator[PointResult]:
     for m in range(1, max_weight // 2 + 1):
         for n in range(1, max_vars + 1):
-            for ell in range(2 * m):
-                if 2 * m - ell <= n:  # hook length fits in n variables
-                    closed = hook_moment_closed_form(ell, m, n)
-                    mu = hook_partition(ell + 1, 2 * m - ell - 1)
-                    oracle = integrate_schur(mu, n, "oracle")
-                    yield _classify((("m", m), ("N", n), ("ell", ell)), closed, oracle)
-
-
-def _oracle_hook_integral(first: int, ones: int, n: int) -> Scalar:
-    """Oracle integral of a hook Schur polynomial, zero when invalid or too long."""
-    if first < 1 or ones < 0 or ones + 1 > n:
-        return ZERO
-    return integrate_schur(hook_partition(first, ones), n, "oracle")
+            # the hooks (ell + 1, 1^(2m - ell - 1)) of p_2m that fit, ell ascending
+            for mu in reversed(power_sum_vector(m, n).entries):
+                ell = mu.part(0) - 1
+                closed = hook_moment_closed_form(ell, m, n)
+                oracle = integrate_schur(mu, n, "oracle")
+                yield _classify((("m", m), ("N", n), ("ell", ell)), closed, oracle)
 
 
 def _sigma(max_weight: int, max_vars: int) -> Iterator[PointResult]:
     for m in range(1, max_weight // 2 + 1):
         for n in range(1, max_vars + 1):
+            # oracle integrals of the hooks (2m - i, 1^i) of p_2m that fit, by i
+            hooks = {
+                mu.length - 1: integrate_schur(mu, n, "oracle")
+                for mu in power_sum_vector(m, n).entries
+            }
             for t in range(m + 1):
                 closed = sigma_closed_form(m, t, n)
-                oracle = _oracle_hook_integral(
-                    2 * t, 2 * m - 2 * t, n
-                ) - _oracle_hook_integral(2 * t + 1, 2 * m - 2 * t - 1, n)
+                oracle = hooks.get(2 * m - 2 * t, ZERO) - hooks.get(2 * m - 2 * t - 1, ZERO)
                 params = (("target", "sigma"), ("m", m), ("t", t), ("N", n))
                 yield _classify(params, closed, oracle)
             params = (("target", "p2m"), ("m", m), ("N", n))

@@ -171,6 +171,12 @@ def test_moment_errors(capsys):
     assert code == 0  # degree 23 and weight 12: on the bound
     code, _, err = run(capsys, "moment", "--schur", "1,1,1", "--n-vars", "2")
     assert code == 2
+    # a partition longer than --n-vars is refused by every method, closed too
+    for method in ("fast", "oracle", "closed"):
+        argv = ["--schur", "3,1,1,1", "--n-vars", "3", "--method", method]
+        code, out, err = run(capsys, "moment", *argv)
+        assert code == 2 and out == ""
+        assert err.endswith("error: partition '3,1,1,1' needs more than 3 variables\n")
     code, _, err = run(capsys, "moment", "--schur", "2,2", "--method", "closed", "--n-vars", "2")
     assert code == 2 and "hook" in err
     for text in ("1,,1", "a"):

@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "binomial_family", "det", "evaluate_at", "family_expand", "functional_L",
     "gaussian_moment", "gaussian_op", "generalized_binomial", "genus_table",
     "has_discrepancies", "hermite", "hermite_expand", "hermite_norm",
-    "hermite_squared_moment", "hook_decomposition", "hook_moment_closed_form",
+    "hermite_squared_moment", "hook_moment_closed_form",
     "hook_partition", "integrate_power_sum", "integrate_schur", "integrate_symmetric",
     "level_density_moment", "m_q", "normalization", "p2m_closed_form",
     "pairing_genus_counts", "partitions", "power_sum_monomials", "power_sum_vector",
@@ -317,3 +317,68 @@ def test_cli_errors_are_printed_only_by_main():
         and node.value.startswith("error:")
     ]
     assert not found, f"error lines written outside main: {found}"
+
+
+def _loaded_names(nodes):
+    """Names the nodes read: each loaded Name, and each attribute read off one."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _module_bindings(tree):
+    """(name, statement) for each name a module's top level defines or assigns."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_private_name_is_used():
+    # a module-level private name that no module reads is dead code; a
+    # function that only calls itself counts as unread
+    trees = _trees()
+    imported = {
+        alias.name
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = []
+    for path, tree in trees:
+        for name, stmt in _module_bindings(tree):
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            elsewhere = [node for _, other in trees for node in other.body if node is not stmt]
+            if name not in imported and name not in _loaded_names(elsewhere):
+                found.append(f"{path.name}:{stmt.lineno} {name}")
+    assert not found, f"module-level private names no module reads: {found}"
+
+
+def test_every_import_is_used():
+    # an import that its module neither reads nor re-exports is dead code
+    found = []
+    for path, tree in _trees():
+        exported = set()
+        for name, stmt in _module_bindings(tree):
+            if name == "__all__":
+                exported = set(ast.literal_eval(stmt.value))
+        read = _loaded_names([tree]) | exported
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert not found, f"imports their module neither reads nor exports: {found}"
