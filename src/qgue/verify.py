@@ -124,17 +124,29 @@ def _classify(params: Params, closed: Scalar, oracle: Scalar, note: str = None) 
 
 def _duality(max_n: int) -> Iterator[PointResult]:
     for squared in (False, True):
+        e = [series_coefficient(k, "e", squared) for k in range(max_n + 1)]
+        E = [series_coefficient(k, "E", squared) for k in range(max_n + 1)]
+        # t_j = e_j E_(d-j) [d]! and t_(d-j) share one Gaussian binomial, so
+        # t_j for 2j > d is t_(d-j) (rho_(d-j) / rho_j) with rho_k = E_k / e_k:
+        # e_(d-j) E_j (E_(d-j) / e_(d-j)) (e_j / E_j) = e_j E_(d-j) in Q(q).
+        # The divisions are defined: e_k = q_factorial(k).inverse() and
+        # E_k = q^p / [k]! are never zero, as `inverse` refuses zero.  Each
+        # rho_k is a power of q, so the product is a scale and a shift.
+        rho = [E_k / e_k for E_k, e_k in zip(E, e)]
         for d in range(max_n + 1):
             # sums are cleared by [d]! so every term reduces to a polynomial
             factor = q_factorial(d, squared)
             total = ZERO
+            terms = []
             for j in range(d + 1):
-                t = series_coefficient(j, "e", squared) * series_coefficient(
-                    d - j, "E", squared
-                )
+                k = d - j
+                if j <= k:
+                    t = e[j] * E[k] * factor
+                    terms.append(t)
+                else:
+                    t = terms[k] * (rho[k] / rho[j])
                 # the sign goes on once, as a subtraction of the cleared term
-                t = t * factor
-                total = total - t if (d - j) % 2 else total + t
+                total = total - t if k % 2 else total + t
             expected = factor if d == 0 else ZERO
             yield _classify((("d", d), ("base", "q^2" if squared else "q")), total, expected)
 
@@ -296,8 +308,8 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
 # theorem5 and qhz lines were re-timed on one machine after the one-variable
-# moments became path counts, the duality line after the packed exact
-# division ran at its quotient's slot width, and with six runs over two host
+# moments became path counts, the duality line after the suite divided once
+# per pair of terms {j, d - j}, and with six runs over two host
 # loads each, the theorem3, theorem4 and sigma lines after the monomial
 # oracle moved to byte keys and the theorem1, theorem2 and truncation lines
 # after the Scalar path applied each sign once and unpacked limb lanes.  Past
@@ -307,7 +319,7 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 2.6-2.8 s (41: 2.4-2.9 s, 50: 7.5-8.0 s);
+#   duality max_n 40: 0.9-1.1 s (41: 0.9-1.3 s, 50: 2.8-3.2 s);
 #   truncation max_total 23: 0.9-1.2 s (24: 1.0-1.5 s);
 #   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
 #     max_weight 14: 2.9-4.6 s);

@@ -13,7 +13,9 @@ Multivariate products work on exponent tuples, the representation the
 library packs away.  One-variable moments L(x**(2m) H_s**2) come from the
 product H_s * H_s under the functional L, the definition that the library's
 weighted path count on the Hermite Jacobi matrix replaces; this route shares
-only `hermite` and `functional_L` with the library.
+only `hermite` and `functional_L` with the library.  The cleared duality
+sums take every term e_j E_(d-j) [d]! as its own product, the direct loop
+that the library's pairing of the terms j and d - j replaces.
 """
 
 from fractions import Fraction
@@ -23,11 +25,13 @@ from math import gcd, lcm, prod
 
 from qgue import (
     ONE,
+    ZERO,
     MonomialMap,
     Scalar,
     XPoly,
     functional_L,
     hermite,
+    q_factorial,
     q_integer,
     series_coefficient,
 )
@@ -85,6 +89,20 @@ def operator_series(p: XPoly, direction: str = "forward") -> XPoly:
         if direction == "forward" and k % 2:
             c = -c
         total = total + v.scale(c)
+    return total
+
+
+def cleared_duality_sum(d, squared, coefficient=series_coefficient):
+    """sum_j (-1)**(d-j) e_j E_(d-j) [d]!, each term its own product, for every j.
+
+    `coefficient(k, which, squared)` gives e_k and E_k; by default the
+    library's `series_coefficient`.
+    """
+    factor = q_factorial(d, squared)
+    total = ZERO
+    for j in range(d + 1):
+        t = coefficient(j, "e", squared) * coefficient(d - j, "E", squared) * factor
+        total = total - t if (d - j) % 2 else total + t
     return total
 
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +55,14 @@ def test_moment_schur_oracle(capsys):
 def test_moment_at_q(capsys):
     code, out, _ = run(capsys, "moment", "--power-sum", "4", "--n-vars", "2", "--at-q", "1")
     assert code == 0 and out == "18\n"
+
+
+def test_readme_moment_examples(capsys):
+    # each `qgue moment ... # value` line of README.md prints that value
+    examples = re.findall(r"^qgue (moment .*?)\s+# (.+)$", (ROOT / "README.md").read_text(), re.M)
+    assert len(examples) == 4
+    for argv, value in examples:
+        assert run(capsys, *argv.split()) == (0, value + "\n", ""), argv
 
 
 def test_moment_methods_agree(capsys):

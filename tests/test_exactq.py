@@ -872,6 +872,16 @@ def test_duality_makes_no_gcd_calls():
     assert gcd.call_count == 0
 
 
+def test_duality_divides_once_per_pair_of_terms():
+    # the terms j and d - j share one exact division of [d]! by [j]! [d-j]!,
+    # and each ratio E_k / e_k takes at most one more, per base
+    with mock.patch.object(
+        QPolynomial, "exact_div", autospec=True, side_effect=QPolynomial.exact_div
+    ) as exact_div:
+        verify_suite(["duality"], max_n=12)
+    assert exact_div.call_count <= 2 * (sum(d // 2 + 1 for d in range(13)) + 13)
+
+
 def _xpoly(ints):
     return XPoly(Scalar(c) for c in ints)
 

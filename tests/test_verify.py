@@ -8,15 +8,23 @@ import pytest
 
 from qgue import (
     ONE,
+    ZERO,
+    QPolynomial,
     Scalar,
+    SuiteResult,
     has_discrepancies,
+    q_factorial,
     q_integer,
     qxpoly,
     render_json,
+    series_coefficient,
     summary_table,
     truncated_in_shadow_basis,
+    verify,
     verify_suite,
 )
+
+from oracles import cleared_duality_sum
 
 
 def test_unknown_suite_rejected():
@@ -125,6 +133,30 @@ def test_duality_and_orthogonality_clean():
     assert not has_discrepancies(results)
 
 
+def test_duality_pairing_reads_every_library_coefficient():
+    # the terms j > d/2 come from the terms d - j and ratios of the library's
+    # coefficients, so a wrong coefficient is reported as the direct loop
+    # over every j reports it, in both bases
+    def wrong(k, which, squared):
+        value = series_coefficient(k, which, squared)
+        return value * Scalar(QPolynomial((1, 1))) if (k, which) == (3, "E") else value
+
+    with mock.patch.object(verify, "series_coefficient", wrong):
+        got = render_json(verify_suite(["duality"], max_n=8))
+    points = [
+        verify._classify(
+            (("d", d), ("base", "q^2" if squared else "q")),
+            cleared_duality_sum(d, squared, wrong),
+            q_factorial(d, squared) if d == 0 else ZERO,
+        )
+        for squared in (False, True)
+        for d in range(9)
+    ]
+    want = [SuiteResult("duality", {"max_n": 8}, points)]
+    assert has_discrepancies(want)
+    assert got == render_json(want)
+
+
 def test_report_schema_and_round_trip():
     results = verify_suite(["theorem4"], max_weight=2, max_vars=2)
     text = render_json(results)
@@ -157,6 +189,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("theorem3_w4.json", ["theorem3"], {"max_weight": 4}),
         # the direct truncation route and the theorem2 fast route at max_n 12
         ("truncation_theorem2_n12.json", ["truncation", "theorem2"], {"max_n": 12}),
+        # duality at its cap, past the default d <= 30
+        ("duality_n40.json", ["duality"], {"max_n": 40}),
     ],
 )
 def test_report_matches_golden_bytes(golden, suites, bounds):
