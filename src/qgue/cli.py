@@ -34,9 +34,11 @@ from .verify import (
     verify_suite,
 )
 
-# bound on the x-degree 2(m+s) of a --hermite-sq request (slowest inside it:
-# 0.16-0.26 s in a cold process on a 2-vCPU machine, at (m, s) = (30, 0) and
-# (20, 10), against 0.12-0.20 s at (0, 30))
+# bound on the x-degree 2(m+s) of a --hermite-sq request, for every method
+# (slowest inside it, in a cold process on a 2-vCPU machine: 0.15-0.25 s for
+# --method closed at (m, s) = (30, 0), (20, 10), (19, 11), (23, 7) and (25, 5),
+# and 0.06-0.08 s for the fast and oracle path count at (30, 0), (20, 10) and
+# (0, 30))
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
 # or closed --schur or --power-sum request; the coefficient minor's cost grows

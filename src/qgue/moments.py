@@ -25,8 +25,8 @@ The genus tables at q = 1 are checked against the (2m-1)!! gluings of a
 
 The closed-form evaluators (`hook_moment_closed_form`, `sigma_closed_form`,
 `p2m_closed_form`, `theorem5_rhs`, `qhz_rhs`) reproduce printed formulas
-exactly as printed, known defects included; correctness judgments live in
-`qgue.verify`.
+exactly as printed, known defects included, with p_2m and Theorem 5 written
+as sums of the printed sigma_{m,t}; correctness judgments live in `qgue.verify`.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def _walk(s: int, M: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _path_count(m: int, s: int) -> Scalar:
-    """c_2m(s) = L(x**(2m) H_s**2) / L(H_s**2), a polynomial in q."""
+def qhz_lhs(m: int, s: int) -> Scalar:
+    """The moment oracle under the normalization h_s: c_2m(s) = L(x**(2m) H_s**2) / L(H_s**2)."""
     if m < 0 or s < 0:
         raise ValueError("needs m, s >= 0")
     return Scalar(QPolynomial(_walk(s, m)[m]))
@@ -201,7 +201,7 @@ def _path_count(m: int, s: int) -> Scalar:
 
 def hermite_squared_moment(m: int, s: int) -> Scalar:
     """L(x**(2m) H_s**2), the oracle side of the one-variable moment formulas."""
-    return _path_count(m, s) * hermite_norm(s)
+    return qhz_lhs(m, s) * hermite_norm(s)
 
 
 # ---------------------------------------------------------------------------
@@ -224,47 +224,49 @@ def hook_moment_closed_form(ell: int, m: int, N: int) -> Scalar:
 
 
 def sigma_closed_form(m: int, t: int, N: int) -> Scalar:
-    """Printed integral of the hook-pair difference sigma_{m,t}."""
+    """Printed integral of the hook-pair difference sigma_{m,t}, the term p_2m and Theorem 5 sum.
+
+    The binomials go first, so a zero binomial skips the product with M_q(2m-1).
+    """
     if m < 1 or t < 0:
         raise ValueError("needs m >= 1 and t >= 0")
     value = (
-        Scalar.q_power((m - t - 1) * (m - t - 2) + (N + 2 * t + 1 - 2 * m))
-        * m_q(2 * m - 1)
+        q_binomial(N + 2 * t, 2 * m - 1)
         * q_binomial(m - 1, t, squared=True)
-        * q_binomial(N + 2 * t, 2 * m - 1)
+        * m_q(2 * m - 1)
+        * Scalar.q_power((m - t - 1) * (m - t - 2) + (N + 2 * t + 1 - 2 * m))
     )
     return value if (m - t + 1) % 2 == 0 else -value
 
 
 def p2m_closed_form(m: int, N: int) -> Scalar:
-    """Printed closed form for the integral of the power sum p_{2m}."""
+    """Printed closed form for the integral of p_{2m}: the sum over t <= m of sigma_{m,t}.
+
+    The printed prefactor M_q(2m-1) q**(N + m**2 - 5m + 3), moved into the sum of
+    +-q**(t**2 + (5-2m)t) [m-1 over t]_{q^2} [N+2t over 2m-1]_q, gives sigma_{m,t}:
+    (m-t-1)(m-t-2) + (N+2t+1-2m) = t**2 + (5-2m)t + N + m**2 - 5m + 3.
+    """
     if m < 1:
         raise ValueError("needs m >= 1")
-    total = ZERO
-    for t in range(m + 1):
-        term = (
-            Scalar.q_power(t * t + (5 - 2 * m) * t)
-            * q_binomial(m - 1, t, squared=True)
-            * q_binomial(N + 2 * t, 2 * m - 1)
-        )
-        total = total + (term if (m - t + 1) % 2 == 0 else -term)
-    return m_q(2 * m - 1) * Scalar.q_power(N + m * m - 5 * m + 3) * total
+    return sum((sigma_closed_form(m, t, N) for t in range(m + 1)), ZERO)
 
 
 def theorem5_rhs(m: int, s: int) -> Scalar:
     """Printed right-hand side of the telescoped single-H moment formula.
 
-    Terms whose binomial prefactor vanishes are skipped before the printed
-    denominator 1 - q**(s+2+2t-m) is formed, so no denominator is zero: if
-    s+2+2t-m = 0 then s+2t = m-2 < 2m-1, and [s+2t over 2m-1]_q = 0 skips t.
+    With its prefactor M_q(2m-1) q**(m**2 - 5m + 3) moved into the sum as in
+    `p2m_closed_form`, term t is sigma_{m,t} at N = s times
+    q (1 - q**(s+1-2t)) / (1 - q**(s+2+2t-m)) - 1.  A term whose sigma is zero
+    (only its binomials can vanish) is skipped before that denominator is
+    formed, so no denominator is zero: if s+2+2t-m = 0 then s+2t = m-2 < 2m-1,
+    and [s+2t over 2m-1]_q = 0 skips t.
     """
     if m < 1 or s < 0:
         raise ValueError("needs m >= 1 and s >= 0")
     total = ZERO
     for t in range(m + 1):
-        b1 = q_binomial(m - 1, t, squared=True)
-        b2 = q_binomial(s + 2 * t, 2 * m - 1)
-        if b1.is_zero or b2.is_zero:
+        sigma = sigma_closed_form(m, t, s)
+        if sigma.is_zero:
             continue
         paren = (
             Scalar.q_power(1)
@@ -272,9 +274,8 @@ def theorem5_rhs(m: int, s: int) -> Scalar:
             / (ONE - Scalar.q_power(s + 2 + 2 * t - m))
             - ONE
         )
-        term = Scalar.q_power(t * t + (5 - 2 * m) * t + s) * b1 * b2 * paren
-        total = total + (term if (m - t + 1) % 2 == 0 else -term)
-    return m_q(2 * m - 1) * Scalar.q_power(m * m - 5 * m + 3) * total
+        total = total + sigma * paren
+    return total
 
 
 def theorem5_lhs(m: int, s: int) -> Scalar:
@@ -282,12 +283,7 @@ def theorem5_lhs(m: int, s: int) -> Scalar:
 
     That is c_2m(s) h_s / h_(s+1) = c_2m(s) / (q**s [s+1]_q).
     """
-    return _path_count(m, s) / (Scalar.q_power(s) * q_integer(s + 1))
-
-
-def qhz_lhs(m: int, s: int) -> Scalar:
-    """The moment oracle under the normalization q**(s(s-1)/2) [s]! = h_s: the path count c_2m(s)."""
-    return _path_count(m, s)
+    return qhz_lhs(m, s) / (Scalar.q_power(s) * q_integer(s + 1))
 
 
 def qhz_rhs(m: int, s: int) -> Scalar:

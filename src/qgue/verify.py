@@ -307,16 +307,17 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 
 # The caps were set where the slowest request inside them took 13-19 s in a
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
-# theorem5 and qhz lines were re-timed on one machine after the one-variable
-# moments became path counts, the duality line after the suite divided once
+# qhz line was re-timed on one machine after the one-variable moments became
+# path counts, the theorem5 line after p_2m and Theorem 5 became sums of the
+# printed sigma term, the duality line after the suite divided once
 # per pair of terms {j, d - j}, and with six runs over two host
 # loads each, the theorem3, theorem4 and sigma lines after the monomial
 # oracle moved to byte keys and the theorem1, theorem2 and truncation lines
 # after the Scalar path applied each sign once and unpacked limb lanes.  Past
-# a cap, the duality, theorem1, theorem2 and truncation lines time the suite
-# generator in a fresh process.  The qhz, theorem1, theorem2, truncation and
-# duality caps now sit below that range, and every bound stays until the caps
-# are re-derived.  Caps on two bounds are timed
+# a cap, the duality, theorem1, theorem2, truncation and theorem5 lines time
+# the suite generator in a fresh process.  The qhz, theorem1, theorem2,
+# truncation, duality and theorem5 caps now sit below that range, and every
+# bound stays until the caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
 #   duality max_n 40: 0.9-1.1 s (41: 0.9-1.3 s, 50: 2.8-3.2 s);
@@ -324,7 +325,7 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 #   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
 #     max_weight 14: 2.9-4.6 s);
 #   theorem2 max_vars 8, max_ell 17: 1.4-2.2 s (max_vars 9: 2.7-4.1 s);
-#   theorem5 2(m+s) 52: 11-13 s at (17, 9) and (16, 10) (54: 15-19 s at (18, 9));
+#   theorem5 2(m+s) 52: 4.6-5.3 s at (17, 9) and (16, 10) (54: 6.5-6.7 s at (18, 9));
 #   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
 #   theorem3 max_weight 14: 7.3-13.8 s at max_vars 5 (15: 10.6-18.6 s).
 # theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its

@@ -15,7 +15,9 @@ product H_s * H_s under the functional L, the definition that the library's
 weighted path count on the Hermite Jacobi matrix replaces; this route shares
 only `hermite` and `functional_L` with the library.  The cleared duality
 sums take every term e_j E_(d-j) [d]! as its own product, the direct loop
-that the library's pairing of the terms j and d - j replaces.
+that the library's pairing of the terms j and d - j replaces.  The printed
+p_2m and Theorem 5 sums keep their prefactor outside the sum, as printed,
+where the library sums the printed sigma_{m,t} term.
 """
 
 from fractions import Fraction
@@ -31,6 +33,8 @@ from qgue import (
     XPoly,
     functional_L,
     hermite,
+    m_q,
+    q_binomial,
     q_factorial,
     q_integer,
     series_coefficient,
@@ -104,6 +108,41 @@ def cleared_duality_sum(d, squared, coefficient=series_coefficient):
         t = coefficient(j, "e", squared) * coefficient(d - j, "E", squared) * factor
         total = total - t if (d - j) % 2 else total + t
     return total
+
+
+def printed_p2m(m, N):
+    """The printed p_2m closed form, its prefactor outside the sum over t."""
+    total = ZERO
+    for t in range(m + 1):
+        term = (
+            Scalar.q_power(t * t + (5 - 2 * m) * t)
+            * q_binomial(m - 1, t, squared=True)
+            * q_binomial(N + 2 * t, 2 * m - 1)
+        )
+        total = total + (term if (m - t + 1) % 2 == 0 else -term)
+    return m_q(2 * m - 1) * Scalar.q_power(N + m * m - 5 * m + 3) * total
+
+
+def printed_theorem5_rhs(m, s):
+    """The printed Theorem 5 right-hand side, its prefactor outside the sum over t.
+
+    A term with a zero binomial is skipped before its denominator is formed.
+    """
+    total = ZERO
+    for t in range(m + 1):
+        b1 = q_binomial(m - 1, t, squared=True)
+        b2 = q_binomial(s + 2 * t, 2 * m - 1)
+        if b1.is_zero or b2.is_zero:
+            continue
+        paren = (
+            Scalar.q_power(1)
+            * (ONE - Scalar.q_power(s + 1 - 2 * t))
+            / (ONE - Scalar.q_power(s + 2 + 2 * t - m))
+            - ONE
+        )
+        term = Scalar.q_power(t * t + (5 - 2 * m) * t + s) * b1 * b2 * paren
+        total = total + (term if (m - t + 1) % 2 == 0 else -term)
+    return m_q(2 * m - 1) * Scalar.q_power(m * m - 5 * m + 3) * total
 
 
 @lru_cache(maxsize=None)

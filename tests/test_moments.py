@@ -50,6 +50,8 @@ from oracles import (
     hermite_squared_by_product,
     operator_series,
     pairing_genus_counts_by_matchings,
+    printed_p2m,
+    printed_theorem5_rhs,
     telescoped_even_moments,
     tuple_product,
 )
@@ -198,9 +200,8 @@ def test_sigma_and_p2m_closed_forms():
 def test_theorem5_rhs():
     assert theorem5_rhs(1, 1) == Scalar.q_power(1) - ONE
     assert theorem5_rhs(1, 0) == ZERO
-    # the degenerate printed denominator can only occur on non-contributing
-    # terms, which are skipped, so this evaluates cleanly
-    assert theorem5_rhs(3, 1) is not None
+    # t = 0 has the degenerate printed denominator 1 - q^0 and is skipped
+    assert theorem5_rhs(3, 1) == printed_theorem5_rhs(3, 1)
     assert theorem5_lhs(1, 1) == q_integer(3) / (Scalar.q_power(1) * q_factorial(2))
 
 
@@ -215,6 +216,23 @@ def test_theorem5_denominator_vanishes_only_on_skipped_terms():
     ]
     assert len(vanishing) == 900  # so the check below is not vacuous
     assert all(q_binomial(s + 2 * t, 2 * m - 1).is_zero for m, s, t in vanishing)
+
+
+def test_p2m_and_theorem5_match_the_printed_sums():
+    # every (m, s, t) with s + 2 + 2t = m <= 8 has s <= 6, so this grid forms
+    # each degenerate printed denominator the skip has to avoid
+    for m in range(1, 9):
+        for n in range(11):
+            assert p2m_closed_form(m, n) == printed_p2m(m, n), (m, n)
+            assert theorem5_rhs(m, n) == printed_theorem5_rhs(m, n), (m, n)
+
+
+@pytest.mark.parametrize("closed_form", [p2m_closed_form, theorem5_rhs])
+def test_p2m_and_theorem5_sum_sigma(closed_form):
+    for m, n in [(1, 0), (3, 1), (5, 4), (6, 2)]:
+        with mock.patch.object(moments, "sigma_closed_form", wraps=moments.sigma_closed_form) as spy:
+            closed_form(m, n)
+        assert spy.call_count == m + 1, (m, n)
 
 
 def test_qhz():

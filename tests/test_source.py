@@ -265,10 +265,16 @@ def _dotted(node):
 def test_no_public_pass_through_wrappers():
     # a public function whose whole body is `return g(its own arguments)`, for
     # another public function g (or a method of a public class), only renames
-    # g; callers pass g itself
+    # g; callers pass g itself.  For a module-level private g the public name
+    # is the only one, so g's body belongs in it
     modules, public = _exported()
     found = []
     for path, tree, names in modules:
+        private = {
+            func.name
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("_")
+        }
         for func in tree.body:
             if not isinstance(func, ast.FunctionDef) or func.name not in names:
                 continue
@@ -281,7 +287,8 @@ def test_no_public_pass_through_wrappers():
             target = _dotted(call.func)
             params = [a.arg for a in func.args.args]
             args = [a.id if isinstance(a, ast.Name) else None for a in call.args]
-            if target and target.split(".")[0] in public - {func.name} and args == params:
+            renamed = (public - {func.name}) | private
+            if target and target.split(".")[0] in renamed and args == params:
                 found.append(f"{path.name}:{func.lineno} {func.name} -> {target}")
     assert not found, f"public pass-through wrappers: {found}"
 
