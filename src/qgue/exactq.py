@@ -44,6 +44,11 @@ is Z[q]; rationals appear only where numbers come in or go out.
     division of the primitive parts decides whether den divides num over Q,
     and when it does not, their gcd is divided out.  Sums trim their top
     without revalidating, and negation and scaling run through `map`.
+  * Gaussian binomials come from one cached row per n, built on its own:
+    entry k is entry k - 1 times (1 - q^(n-k+1))/(1 - q^k), a shifted
+    subtraction and a running sum over each residue class mod k, both at C
+    speed, so no polynomial division runs; the squared base inflates the
+    entry.  See `_gaussian_row`.
 
 Scalars print with a monic denominator: `str` and `latex` divide both sides
 by lc(den), and that is the only place a rational coefficient is built.
@@ -59,7 +64,7 @@ import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import Iterable, Optional
 
 __all__ = [
@@ -942,15 +947,45 @@ def q_factorial(n: int, squared: bool = False) -> Scalar:
 
 
 @lru_cache(maxsize=None)
+def _gaussian_row(n: int) -> tuple:
+    """The coefficient tuples of [n over k]_q for 0 <= k <= n/2.
+
+    Since [m]_q = (1 - q^m)/(1 - q), the ratio [n over k]/[n over k-1] =
+    [n-k+1]_q/[k]_q is (1 - q^(n-k+1))/(1 - q^k): entry k is entry k - 1
+    times 1 - q^(n-k+1), a shifted subtraction, divided by 1 - q^k.  If
+    a = (1 - q^k) h then a_i = h_i - h_(i-k), so h_i = a_i + h_(i-k) (with
+    h_i = 0 for i < 0) is its only solution: a running sum over each residue
+    class mod k.  Past deg(a) - k every running sum is the total of its
+    class, so the division is exact, with h of degree deg(a) - k, exactly
+    when the top k entries are zero; a nonzero one raises.  The row keeps
+    the lower half, as [n over k] = [n over n-k], and is built on its own:
+    it reads no other row.
+    """
+    row = [(1,)]
+    for k in range(1, n // 2 + 1):
+        shift = n - k + 1
+        a = list(row[-1]) + [0] * shift
+        a[shift:] = map(operator.sub, a[shift:], row[-1])
+        for r in range(k):
+            a[r::k] = accumulate(a[r::k])
+        if any(a[-k:]):
+            raise ArithmeticError(f"1 - q^{k} does not divide the step to [{n} over {k}]_q")
+        row.append(tuple(a[:-k]))
+    return tuple(row)
+
+
 def q_binomial(n: int, k: int, squared: bool = False) -> Scalar:
-    """Gaussian binomial [n over k]_q; zero outside 0 <= k <= n."""
+    """Gaussian binomial [n over k]_q; zero outside 0 <= k <= n.
+
+    [n over k]_{q^2}(q) is [n over k]_q(q^2), so the squared base inflates
+    the row entry.
+    """
     if n < 0:
         raise ValueError("q_binomial needs n >= 0")
     if k < 0 or k > n:
         return ZERO
-    num = q_factorial(n, squared)
-    den = q_factorial(k, squared).num * q_factorial(n - k, squared).num
-    return Scalar(num.num, den)
+    cs = _gaussian_row(n)[min(k, n - k)]
+    return Scalar._make(QPolynomial._raw(tuple(_inflate(cs, 2)) if squared else cs), _QP_ONE)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .exactq import ZERO, Scalar, q_factorial, series_coefficient
+from .exactq import ONE, ZERO, Scalar, q_binomial, q_factorial, series_coefficient
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
 from .symschur import (
     SizeError,
@@ -124,30 +124,21 @@ def _classify(params: Params, closed: Scalar, oracle: Scalar, note: str = None) 
 
 def _duality(max_n: int) -> Iterator[PointResult]:
     for squared in (False, True):
-        e = [series_coefficient(k, "e", squared) for k in range(max_n + 1)]
-        E = [series_coefficient(k, "E", squared) for k in range(max_n + 1)]
-        # t_j = e_j E_(d-j) [d]! and t_(d-j) share one Gaussian binomial, so
-        # t_j for 2j > d is t_(d-j) (rho_(d-j) / rho_j) with rho_k = E_k / e_k:
-        # e_(d-j) E_j (E_(d-j) / e_(d-j)) (e_j / E_j) = e_j E_(d-j) in Q(q).
-        # The divisions are defined: e_k = q_factorial(k).inverse() and
-        # E_k = q^p / [k]! are never zero, as `inverse` refuses zero.  Each
-        # rho_k is a power of q, so the product is a scale and a shift.
-        rho = [E_k / e_k for E_k, e_k in zip(E, e)]
+        # the sums are cleared by [d]!: for any values of e_j and E_k in Q(q),
+        # e_j E_k [d]! = (e_j [j]!) (E_k [k]!) [d]! / ([j]! [k]!) = u_j v_k [d over j]
+        # with k = d - j, so every term is a Gaussian binomial times the
+        # library's own coefficients, each cleared once by its own [k]!
+        ks = range(max_n + 1)
+        u = [series_coefficient(k, "e", squared) * q_factorial(k, squared) for k in ks]
+        v = [series_coefficient(k, "E", squared) * q_factorial(k, squared) for k in ks]
         for d in range(max_n + 1):
-            # sums are cleared by [d]! so every term reduces to a polynomial
-            factor = q_factorial(d, squared)
             total = ZERO
-            terms = []
             for j in range(d + 1):
                 k = d - j
-                if j <= k:
-                    t = e[j] * E[k] * factor
-                    terms.append(t)
-                else:
-                    t = terms[k] * (rho[k] / rho[j])
+                t = q_binomial(d, j, squared) * u[j] * v[k]
                 # the sign goes on once, as a subtraction of the cleared term
                 total = total - t if k % 2 else total + t
-            expected = factor if d == 0 else ZERO
+            expected = ONE if d == 0 else ZERO
             yield _classify((("d", d), ("base", "q^2" if squared else "q")), total, expected)
 
 
@@ -309,8 +300,8 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
 # qhz line was re-timed on one machine after the one-variable moments became
 # path counts, the theorem5 line after p_2m and Theorem 5 became sums of the
-# printed sigma term, the duality line after the suite divided once
-# per pair of terms {j, d - j}, and with six runs over two host
+# printed sigma term, the duality line after the suite multiplied by
+# Gaussian binomials instead of dividing [d]!, and with six runs over two host
 # loads each, the theorem3, theorem4 and sigma lines after the monomial
 # oracle moved to byte keys and the theorem1, theorem2 and truncation lines
 # after the Scalar path applied each sign once and unpacked limb lanes.  Past
@@ -320,7 +311,7 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # bound stays until the caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 0.9-1.1 s (41: 0.9-1.3 s, 50: 2.8-3.2 s);
+#   duality max_n 40: 0.11-0.12 s (41: 0.13-0.15 s, 50: 0.25-0.27 s);
 #   truncation max_total 23: 0.9-1.2 s (24: 1.0-1.5 s);
 #   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
 #     max_weight 14: 2.9-4.6 s);

@@ -15,7 +15,7 @@ product H_s * H_s under the functional L, the definition that the library's
 weighted path count on the Hermite Jacobi matrix replaces; this route shares
 only `hermite` and `functional_L` with the library.  The cleared duality
 sums take every term e_j E_(d-j) [d]! as its own product, the direct loop
-that the library's pairing of the terms j and d - j replaces.  The printed
+that the library's products (e_j [j]!) (E_(d-j) [d-j]!) [d over j] replace.  The printed
 p_2m and Theorem 5 sums keep their prefactor outside the sum, as printed,
 where the library sums the printed sigma_{m,t} term.
 """

@@ -75,6 +75,36 @@ def test_q_binomial_always_polynomial():
             assert q_binomial(n, k).is_polynomial
 
 
+def test_q_binomial_is_the_factorial_quotient():
+    # the definition the row recurrence replaces, in both bases and one step
+    # past each end of every row
+    for squared in (False, True):
+        for n in range(45):
+            for k in range(-1, n + 2):
+                want = ZERO
+                if 0 <= k <= n:
+                    den = q_factorial(k, squared).num * q_factorial(n - k, squared).num
+                    want = Scalar(q_factorial(n, squared).num, den)
+                assert q_binomial(n, k, squared) == want, (n, k, squared)
+
+
+def test_gaussian_row_refuses_an_inexact_step():
+    # with the shift n in place of n - k + 1, the step to [7 over 2] divides
+    # (1 - q^7) [7]_q by 1 - q^2, which is inexact: the dividend is 2 at
+    # q = -1, where 1 - q^2 vanishes.  (A shift off by a constant, n - k + 2,
+    # would build [n+1 over k] and stay exact.)  The mutated row must raise
+    # rather than return the truncated running sums.
+    source = inspect.getsource(exactq._gaussian_row)
+    assert source.count("shift = n - k + 1") == 1
+    namespace = dict(vars(exactq))
+    exec(source.replace("shift = n - k + 1", "shift = n"), namespace)
+    got = []
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        got.append(namespace["_gaussian_row"](7))
+    assert not got
+    assert exactq._gaussian_row(7)[2] == q_binomial(7, 2).num.coeffs
+
+
 def test_cold_q_factorial_keeps_the_stack_shallow():
     # 60 factors: a cold q_factorial that recursed once per factor would
     # overflow 25 frames of headroom, and so would the calls built on it
@@ -82,7 +112,7 @@ def test_cold_q_factorial_keeps_the_stack_shallow():
     calls = ((q_factorial, (60,)), (q_binomial, (60, 30)), (series_coefficient, (60, "e")))
     for func, args in calls:
         q_factorial.cache_clear()
-        q_binomial.cache_clear()
+        exactq._gaussian_row.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 25)
         try:
@@ -516,9 +546,22 @@ def test_stripped_kernels_match_plain_loops(k, g, u, vg, vu, c, p, data):
     assert QPolynomial.zero().exact_div(QPolynomial(g)) == QPolynomial.zero()
 
 
-def test_duality_packs_no_power_of_q():
-    # each duality term is +-q^a times a Gaussian binomial: the kernels strip
-    # q^a before they pack, so no packed list starts with a zero coefficient
+def _cleared_duality_quotients(max_n=12):
+    # the divisions that clear e_j E_(d-j) by [d]! directly: q^a [d]! by
+    # [j]! [d-j]!, where q^a is the power of q in E_(d-j), in both bases;
+    # each quotient is q^a times a Gaussian binomial
+    for squared in (False, True):
+        for d in range(max_n + 1):
+            for j in range(d + 1):
+                k = d - j
+                a = k * (k - 1) if squared else k * (k - 1) // 2
+                divisor = q_factorial(j, squared).num * q_factorial(k, squared).num
+                yield q_factorial(d, squared).num.shifted(a).exact_div(divisor)
+
+
+def test_cleared_duality_terms_pack_no_power_of_q():
+    # each cleared duality term is q^a times a Gaussian binomial: the kernels
+    # strip q^a before they pack, so no packed list starts with a zero coefficient
     packed = []
 
     def pack(cs, width):
@@ -526,7 +569,7 @@ def test_duality_packs_no_power_of_q():
         return _pack(cs, width)
 
     with mock.patch.object(exactq, "_pack", pack):
-        verify_suite(["duality"], max_n=12)
+        list(_cleared_duality_quotients())
     assert packed and all(packed)
 
 
@@ -836,8 +879,8 @@ def test_stride_takes_one_scan():
     assert _int_divides([1], a) == _plain(_int_divides, [1], a) == a
 
 
-def test_duality_divides_narrower_than_the_dividend():
-    # each duality term divides [d]! by [j]! [d-j]!, whose Gaussian binomial
+def test_cleared_duality_terms_divide_narrower_than_the_dividend():
+    # each cleared duality term divides [d]! by [j]! [d-j]!, whose Gaussian binomial
     # quotient has far narrower coefficients than [d]!; the packed division
     # runs at the quotient's width.  Every division here is exact, so every
     # packed divmod has a zero remainder and is followed by one unpack, at
@@ -860,7 +903,7 @@ def test_duality_divides_narrower_than_the_dividend():
     with mock.patch.object(exactq, "_int_divides", divides), mock.patch.object(
         exactq, "_unpack", unpack
     ):
-        verify_suite(["duality"], max_n=12)
+        list(_cleared_duality_quotients())
     assert widths and None not in quotients
     assert all(width < dividend for width, dividend in widths)
 
@@ -872,14 +915,16 @@ def test_duality_makes_no_gcd_calls():
     assert gcd.call_count == 0
 
 
-def test_duality_divides_once_per_pair_of_terms():
-    # the terms j and d - j share one exact division of [d]! by [j]! [d-j]!,
-    # and each ratio E_k / e_k takes at most one more, per base
+def test_duality_packs_nothing_and_divides_only_its_coefficients():
+    # the terms multiply by Gaussian binomials, whose rows take no polynomial
+    # division; the only exact divisions left clear e_k and E_k by [k]!, at
+    # most one each per k <= 12 and base, and none of them is long enough to pack
     with mock.patch.object(
         QPolynomial, "exact_div", autospec=True, side_effect=QPolynomial.exact_div
-    ) as exact_div:
+    ) as exact_div, mock.patch.object(exactq, "_pack", side_effect=exactq._pack) as pack:
         verify_suite(["duality"], max_n=12)
-    assert exact_div.call_count <= 2 * (sum(d // 2 + 1 for d in range(13)) + 13)
+    assert pack.call_count == 0
+    assert exact_div.call_count <= 2 * 2 * 13
 
 
 def _xpoly(ints):

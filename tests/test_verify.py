@@ -134,9 +134,9 @@ def test_duality_and_orthogonality_clean():
 
 
 def test_duality_pairing_reads_every_library_coefficient():
-    # the terms j > d/2 come from the terms d - j and ratios of the library's
-    # coefficients, so a wrong coefficient is reported as the direct loop
-    # over every j reports it, in both bases
+    # each term is (e_j [j]!) (E_(d-j) [d-j]!) [d over j], an identity for any
+    # values of the library's coefficients, so a wrong coefficient is reported
+    # as the direct loop over every j reports it, in both bases
     def wrong(k, which, squared):
         value = series_coefficient(k, which, squared)
         return value * Scalar(QPolynomial((1, 1))) if (k, which) == (3, "E") else value
