@@ -13,11 +13,7 @@ is Z[q]; rationals appear only where numbers come in or go out.
     directly.  The product and exact-division kernels first strip the power
     of q from their operands, so that no later step carries leading zeros:
     q^va a1 times q^vb b1 is q^(va+vb) a1 b1, and q^vg g1 divides q^va a1
-    exactly when va >= vg and g1 | a1; see `_low`.  Next, when every
-    exponent of both operands is a multiple of some k > 1 (as in the
-    squared base, where everything is a polynomial in q^2), they run on the
-    strided lists a[::k], b[::k] and inflate the result; see `_stride`,
-    whose one scan runs at C speed.
+    exactly when va >= vg and g1 | a1; see `_low`.
     Then, when both factors of a product, or the divisor and the quotient of
     a division, have at least _PACK_MIN_LEN = 16 coefficients, the lists are
     packed into single ints (Kronecker substitution: q = X = 2**(8 w) for
@@ -44,11 +40,14 @@ is Z[q]; rationals appear only where numbers come in or go out.
     division of the primitive parts decides whether den divides num over Q,
     and when it does not, their gcd is divided out.  Sums trim their top
     without revalidating, and negation and scaling run through `map`.
-  * Gaussian binomials come from one cached row per n, built on its own:
-    entry k is entry k - 1 times (1 - q^(n-k+1))/(1 - q^k), a shifted
-    subtraction and a running sum over each residue class mod k, both at C
-    speed, so no polynomial division runs; the squared base inflates the
-    entry.  See `_gaussian_row`.
+  * The q-products [n]!, M_q(n) = [n][n-2]... and the Gaussian binomials
+    are built by one step, `_times_q_ratio`, since [m]_q = (1 - q^m)/(1 - q):
+    times (1 - q^a)/(1 - q^b) is a shifted subtraction and a running sum over
+    each residue class mod b, both at C speed, so no polynomial product or
+    division runs.  [n]! is [n-1]! times [n]_q, M_q(n) is M_q(n-2) times
+    [n]_q, and entry k of the cached Gaussian row of n, built on its own, is
+    entry k - 1 times (1 - q^(n-k+1))/(1 - q^k); the squared base inflates
+    the plain polynomial.
 
 Scalars print with a monic denominator: `str` and `latex` divide both sides
 by lc(den), and that is the only place a rational coefficient is built.
@@ -114,7 +113,7 @@ def _low(cs) -> int:
     """Index of the first nonzero coefficient of cs; 0 when there is none.
 
     The Z[q] kernels below strip this power of q from each operand before
-    anything else, so the stride and the packed path see no leading zeros.
+    anything else, so the packed path sees no leading zeros.
     Write a = q^va a1 and g = q^vg g1 with a1(0) != 0 != g1(0).
       * Product: a g = q^(va+vg) (a1 g1).
       * Quotient: g | a in Z[q] exactly when va >= vg and g1 | a1, and then
@@ -122,35 +121,6 @@ def _low(cs) -> int:
         (g1 h1)(0) = g1(0) h1(0) != 0, so va = vg + vh and a1 = g1 h1.
     """
     return next(compress(count(), cs), 0)
-
-
-def _stride(a, b):
-    """The gcd k of the exponents of a and b when one scan finds it, else 1; 0 for constants.
-
-    The Z[q] kernels below run on a[::k] and b[::k] when k > 1 and inflate
-    the result back, which is exact.  Deflation q^k -> q is a ring
-    isomorphism Z[q^k] -> Z[q] that keeps content and leading coefficients,
-    so it suffices that every result lies in Z[q^k] again.  Let z be a
-    primitive k-th root of unity; p lies in Z[q^k] exactly when
-    p(zq) = p(q), because the coefficient of q^i picks up the factor z^i.
-      * Product: (ab)(zq) = a(zq) b(zq) = a(q) b(q).
-      * Quotient: if a = Q g then Q(zq) g(q) = a(q) = Q(q) g(q), so
-        Q(zq) = Q(q).  An exact division therefore has the same quotient
-        on the deflated lists, and an inexact one stays inexact there.
-    The scan runs at C speed: the gcd k of each list's first exponent past 0
-    with a nonzero coefficient is a multiple of the answer, and it is the
-    answer when every coefficient off the multiples of k is zero.  When
-    some coefficient there is not zero, 1 is returned: running on the full
-    lists is always exact.
-    The gcd takes no stride: none of the gcds that `verify --suite all`
-    takes has k > 1.
-    """
-    k = 0
-    for cs in (a, b):
-        k = math.gcd(k, next(compress(count(1), cs[1:]), 0))
-    if any(any(cs[r::k]) for cs in (a, b) for r in range(1, k)):
-        return 1
-    return k
 
 
 def _inflate(cs, k):
@@ -261,16 +231,13 @@ def _mul_int(a, b):
     multiplied as numbers (Kronecker substitution): both are packed at a slot
     width that holds every coefficient of the product, so the slots of the
     numeric product are its coefficients.  Otherwise the schoolbook loop runs.
-    The power of q (`_low`) and then the stride (`_stride`) come out first.
+    The power of q (`_low`) comes out first.
     """
     va, vb = _low(a), _low(b)
     if va or vb:
         square = a is b
         a = a[va:]
         return [0] * (va + vb) + _mul_int(a, a if square else b[vb:])
-    k = _stride(a, b)
-    if k > 1:
-        return _inflate(_mul_int(a[::k], b[::k]), k)
     if min(len(a), len(b)) >= _PACK_MIN_LEN:
         width = _product_bytes(a, b)
         pa = _value(_pack(a, width), width)
@@ -335,7 +302,7 @@ def _int_divides(g, a):
     for its slot, as for g = (q - 256) h at w = 1), a quotient that does not
     unpack, or a failed check.  The schoolbook loop `_int_divmod` decides
     then.  The power of q (`_low`) comes out of a nonzero dividend and of
-    the divisor first, then the stride (`_stride`).
+    the divisor first.
     """
     vg, va = _low(g), _low(a)
     if (vg or va) and any(a):
@@ -343,10 +310,6 @@ def _int_divides(g, a):
             return None
         out = _int_divides(g[vg:], a[va:])
         return None if out is None else [0] * (va - vg) + out
-    k = _stride(g, a)
-    if k > 1:
-        out = _int_divides(g[::k], a[::k])
-        return None if out is None else _inflate(out, k)
     n = len(a) - len(g) + 1
     if min(len(g), n) >= _PACK_MIN_LEN:
         ba, bg = _bits(a), _bits(g)
@@ -924,6 +887,32 @@ def _latex_side(p: QPolynomial, lc: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _polynomial(cs) -> Scalar:
+    """The Scalar of a trimmed int sequence, which is canonical over the denominator 1."""
+    return Scalar._make(QPolynomial._raw(tuple(cs)), _QP_ONE)
+
+
+def _times_q_ratio(cs, a: int, b: int) -> list:
+    """cs (1 - q^a)/(1 - q^b) for an int sequence cs, as a list; a, b >= 1.
+
+    Since [m]_q = (1 - q^m)/(1 - q), b = 1 multiplies by [a]_q, and the
+    ratio [n over k]/[n over k-1] = [n-k+1]_q/[k]_q is
+    (1 - q^(n-k+1))/(1 - q^k).  Times 1 - q^a is a shifted subtraction.  If
+    p = (1 - q^b) h then p_i = h_i - h_(i-b), so h_i = p_i + h_(i-b) (with
+    h_i = 0 for i < 0) is its only solution: a running sum over each residue
+    class mod b.  Past deg(p) - b every running sum is the total of its
+    class, so the division is exact, with h of degree deg(p) - b, exactly
+    when the top b entries are zero; a nonzero one raises.
+    """
+    p = list(cs) + [0] * a
+    p[a:] = map(operator.sub, p[a:], cs)
+    for r in range(b):
+        p[r::b] = accumulate(p[r::b])
+    if any(p[-b:]):
+        raise ArithmeticError(f"1 - q^{b} does not divide the step by (1 - q^{a})/(1 - q^{b})")
+    return p[:-b]
+
+
 @lru_cache(maxsize=None)
 def q_integer(n: int, squared: bool = False) -> Scalar:
     """[n]_q = 1 + q + ... + q**(n-1), or [n]_{q^2} with the squared flag."""
@@ -931,46 +920,37 @@ def q_integer(n: int, squared: bool = False) -> Scalar:
         raise ValueError("q_integer needs n >= 0")
     if n == 0:
         return ZERO
-    return Scalar._make(QPolynomial._raw(tuple(_inflate((1,) * n, 2 if squared else 1))), _QP_ONE)
+    return _polynomial(_inflate((1,) * n, 2 if squared else 1))
 
 
 @lru_cache(maxsize=None)
 def q_factorial(n: int, squared: bool = False) -> Scalar:
-    """[n]!_q = prod_{i=1..n} [i]_q; the empty product is 1."""
+    """[n]!_q = prod_{i=1..n} [i]_q; the empty product is 1.
+
+    [n]!_{q^2}(q) is [n]!_q(q^2), so the squared base inflates the plain one.
+    """
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
     if n == 0:
         return ONE
+    if squared:
+        return _polynomial(_inflate(q_factorial(n).num.coeffs, 2))
     for j in range(1, n):  # fill the cache upward, so no call recurses deeply
-        q_factorial(j, squared)
-    return q_factorial(n - 1, squared) * q_integer(n, squared)
+        q_factorial(j)
+    return _polynomial(_times_q_ratio(q_factorial(n - 1).num.coeffs, n, 1))
 
 
 @lru_cache(maxsize=None)
 def _gaussian_row(n: int) -> tuple:
     """The coefficient tuples of [n over k]_q for 0 <= k <= n/2.
 
-    Since [m]_q = (1 - q^m)/(1 - q), the ratio [n over k]/[n over k-1] =
-    [n-k+1]_q/[k]_q is (1 - q^(n-k+1))/(1 - q^k): entry k is entry k - 1
-    times 1 - q^(n-k+1), a shifted subtraction, divided by 1 - q^k.  If
-    a = (1 - q^k) h then a_i = h_i - h_(i-k), so h_i = a_i + h_(i-k) (with
-    h_i = 0 for i < 0) is its only solution: a running sum over each residue
-    class mod k.  Past deg(a) - k every running sum is the total of its
-    class, so the division is exact, with h of degree deg(a) - k, exactly
-    when the top k entries are zero; a nonzero one raises.  The row keeps
-    the lower half, as [n over k] = [n over n-k], and is built on its own:
-    it reads no other row.
+    Entry k is entry k - 1 times [n-k+1]_q/[k]_q (see `_times_q_ratio`).  The
+    row keeps the lower half, as [n over k] = [n over n-k], and is built on
+    its own: it reads no other row.
     """
     row = [(1,)]
     for k in range(1, n // 2 + 1):
-        shift = n - k + 1
-        a = list(row[-1]) + [0] * shift
-        a[shift:] = map(operator.sub, a[shift:], row[-1])
-        for r in range(k):
-            a[r::k] = accumulate(a[r::k])
-        if any(a[-k:]):
-            raise ArithmeticError(f"1 - q^{k} does not divide the step to [{n} over {k}]_q")
-        row.append(tuple(a[:-k]))
+        row.append(tuple(_times_q_ratio(row[-1], n - k + 1, k)))
     return tuple(row)
 
 
@@ -985,7 +965,7 @@ def q_binomial(n: int, k: int, squared: bool = False) -> Scalar:
     if k < 0 or k > n:
         return ZERO
     cs = _gaussian_row(n)[min(k, n - k)]
-    return Scalar._make(QPolynomial._raw(tuple(_inflate(cs, 2)) if squared else cs), _QP_ONE)
+    return _polynomial(_inflate(cs, 2) if squared else cs)
 
 
 @lru_cache(maxsize=None)
@@ -995,7 +975,7 @@ def m_q(n: int) -> Scalar:
         return ONE
     for j in range(2 - n % 2, n - 1, 2):  # fill the cache upward, so no call recurses deeply
         m_q(j)
-    return q_integer(n) * m_q(n - 2)
+    return _polynomial(_times_q_ratio(m_q(n - 2).num.coeffs, n, 1))
 
 
 def series_coefficient(k: int, which: str, squared: bool = False) -> Scalar:

@@ -300,8 +300,8 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # cold process on a 2-vCPU machine, and one step past them 19-30 s.  The
 # qhz line was re-timed on one machine after the one-variable moments became
 # path counts, the theorem5 line after p_2m and Theorem 5 became sums of the
-# printed sigma term, the duality line after the suite multiplied by
-# Gaussian binomials instead of dividing [d]!, and with six runs over two host
+# printed sigma term, the duality line after one q-ratio step built the
+# q-factorials and Gaussian binomials, and with six runs over two host
 # loads each, the theorem3, theorem4 and sigma lines after the monomial
 # oracle moved to byte keys and the theorem1, theorem2 and truncation lines
 # after the Scalar path applied each sign once and unpacked limb lanes.  Past
@@ -311,7 +311,7 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # bound stays until the caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
-#   duality max_n 40: 0.11-0.12 s (41: 0.13-0.15 s, 50: 0.25-0.27 s);
+#   duality max_n 40: 0.10-0.12 s (41: 0.12-0.13 s, 50: 0.24-0.27 s);
 #   truncation max_total 23: 0.9-1.2 s (24: 1.0-1.5 s);
 #   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
 #     max_weight 14: 2.9-4.6 s);

@@ -17,7 +17,9 @@ only `hermite` and `functional_L` with the library.  The cleared duality
 sums take every term e_j E_(d-j) [d]! as its own product, the direct loop
 that the library's products (e_j [j]!) (E_(d-j) [d-j]!) [d over j] replace.  The printed
 p_2m and Theorem 5 sums keep their prefactor outside the sum, as printed,
-where the library sums the printed sigma_{m,t} term.
+where the library sums the printed sigma_{m,t} term.  q-factorials and M_q
+are plain products of q-integers, the definition that the library's one
+q-ratio step replaces.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from qgue import (
     ONE,
     ZERO,
     MonomialMap,
+    QPolynomial,
     Scalar,
     XPoly,
     functional_L,
@@ -43,6 +46,14 @@ from qgue import (
 
 def double_factorial(n: int) -> int:
     return prod(range(n, 0, -2)) if n > 0 else 1
+
+
+def q_integer_product(factors, squared=False) -> QPolynomial:
+    """prod [i]_q over the factors i (or [i]_{q^2} with the squared flag), one product each."""
+    out = QPolynomial.one()
+    for i in factors:
+        out = out * q_integer(i, squared).num
+    return out
 
 
 def telescoped_even_moments(k_max):

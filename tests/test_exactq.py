@@ -39,14 +39,14 @@ from qgue.exactq import (
     _primitive,
     _slot_bytes,
     _slots,
-    _stride,
     _subresultant_gcd,
+    _times_q_ratio,
     _unpack,
     _value,
 )
 from qgue.verify import verify_suite
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, q_integer_product
 
 
 def test_q_integer_examples():
@@ -88,21 +88,40 @@ def test_q_binomial_is_the_factorial_quotient():
                 assert q_binomial(n, k, squared) == want, (n, k, squared)
 
 
-def test_gaussian_row_refuses_an_inexact_step():
-    # with the shift n in place of n - k + 1, the step to [7 over 2] divides
-    # (1 - q^7) [7]_q by 1 - q^2, which is inexact: the dividend is 2 at
-    # q = -1, where 1 - q^2 vanishes.  (A shift off by a constant, n - k + 2,
-    # would build [n+1 over k] and stay exact.)  The mutated row must raise
-    # rather than return the truncated running sums.
-    source = inspect.getsource(exactq._gaussian_row)
-    assert source.count("shift = n - k + 1") == 1
-    namespace = dict(vars(exactq))
-    exec(source.replace("shift = n - k + 1", "shift = n"), namespace)
+def test_q_ratio_step_refuses_an_inexact_division():
+    # (1 - q^7) [7]_q over 1 - q^2 is inexact: the dividend is 2 at q = -1,
+    # where 1 - q^2 vanishes.  It is the step to [7 over 2] with the shift n
+    # in place of n - k + 1.  The step must raise rather than return the
+    # truncated running sums.
     got = []
     with pytest.raises(ArithmeticError, match="does not divide"):
-        got.append(namespace["_gaussian_row"](7))
+        got.append(_times_q_ratio([1] * 7, 7, 2))
     assert not got
-    assert exactq._gaussian_row(7)[2] == q_binomial(7, 2).num.coeffs
+    # [7 over 2]_q counts the partitions in a 2 x 5 box by size
+    assert exactq._gaussian_row(7)[2] == (1, 1, 2, 2, 3, 3, 3, 2, 2, 1, 1)
+
+
+def test_q_factorial_and_m_q_are_their_q_integer_products():
+    # the definitions the q-ratio step replaces, built cold, n <= 44; the
+    # factorials in both bases
+    q_factorial.cache_clear()
+    m_q.cache_clear()
+    for squared in (False, True):
+        for n in range(45):
+            want = q_integer_product(range(1, n + 1), squared)
+            assert q_factorial(n, squared) == Scalar(want), (n, squared)
+    for n in range(-1, 45):
+        assert m_q(n) == Scalar(q_integer_product(range(n, 0, -2))), n
+
+
+def test_cold_q_products_make_no_polynomial_product():
+    # [n]! and M_q(n) are built by the q-ratio step alone: no Z[q] product
+    q_factorial.cache_clear()
+    m_q.cache_clear()
+    with mock.patch.object(exactq, "_mul_int", side_effect=_mul_int) as mul:
+        assert q_factorial(40, True).num.degree == 2 * sum(range(40))
+        assert m_q(79).num.degree == sum(range(78, 0, -2))
+    assert mul.call_count == 0
 
 
 def test_cold_q_factorial_keeps_the_stack_shallow():
@@ -119,11 +138,8 @@ def test_cold_q_factorial_keeps_the_stack_shallow():
             got.append(func(*args))
         finally:
             sys.setrecursionlimit(limit)
-    product = QPolynomial.one()
-    for k in range(1, 61):
-        product = product * q_integer(k).num
     factorial, binomial, e_60 = got
-    assert factorial == Scalar(product)
+    assert factorial == Scalar(q_integer_product(range(1, 61)))
     assert binomial.is_polynomial and evaluate_at(binomial, 1) == math.comb(60, 30)
     assert e_60 * factorial == ONE
 
@@ -473,16 +489,16 @@ def test_exact_div_on_rational_coefficients(a, b, data):
 
 def _plain(kernel, *args):
     """The kernel's schoolbook loop on the full lists: no q-power stripping, no
-    stride deflation, no packing."""
+    packing."""
     with mock.patch.object(exactq, "_low", lambda cs: 0), mock.patch.object(
-        exactq, "_stride", lambda a, b: 1
-    ), mock.patch.object(exactq, "_PACK_MIN_LEN", math.inf):
+        exactq, "_PACK_MIN_LEN", math.inf
+    ):
         return kernel(*args)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 5), int_poly, int_poly, int_poly, int_poly, st.data())
-def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
+def test_kernels_on_polynomials_in_q_k_match_plain_loops(k, g, u, v, r, data):
     # polynomials in q^k, some multiplied by a power of q^k; size-1 lists
     # give the constant and monomial operands
     def in_qk(cs):
@@ -502,6 +518,14 @@ def test_strided_kernels_match_plain_loops(k, g, u, v, r, data):
     assert _int_divides(u, v) == _plain(_int_divides, u, v)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(int_poly, st.integers(1, 9), st.integers(1, 9))
+def test_q_ratio_step_multiplies_by_a_q_integer_ratio(u, a, b):
+    # u [b]_q (1 - q^a)/(1 - q^b) is u [a]_q, whatever the order of a and b
+    cs, want = _mul_int(u, [1] * b), _mul_int(u, [1] * a)
+    assert _times_q_ratio(cs, a, b) == _times_q_ratio(tuple(cs), a, b) == want
+
+
 long_int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=20).filter(lambda c: c[-1])
 
 
@@ -517,8 +541,8 @@ long_int_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=20).filter(l
     st.data(),
 )
 def test_stripped_kernels_match_plain_loops(k, g, u, vg, vu, c, p, data):
-    # polynomials in q^k times a planted q^v on either side; k = 1 is no
-    # stride, and lists of 16 or more coefficients take the packed path
+    # polynomials in q^k times a planted q^v on either side; lists of 16 or
+    # more coefficients take the packed path
     g = [0] * vg + _inflate(g, k)
     u = [0] * vu + _inflate(u, k)
     a = _plain(_mul_int, g, u)
@@ -686,7 +710,7 @@ def test_division_tries_one_width_then_the_schoolbook_loop(kind, data):
     # quotient needs; when that try cannot decide, the schoolbook loop does,
     # and a planted remainder gives None on every way
     def ints(n, low, high):
-        # nonzero at 0, 1 and n - 1: no power of q and no stride comes out
+        # nonzero at 0, 1 and n - 1: no power of q comes out
         cs = data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
         for i in {0, min(1, n - 1), n - 1}:
             cs[i] = cs[i] or high
@@ -864,19 +888,6 @@ def test_cancelling_sums_stay_trimmed(low_a, low_b, top):
         QPolynomial(a) + _xpoly(b)
     with pytest.raises(TypeError):
         _xpoly(a) + QPolynomial(b)
-
-
-def test_stride_takes_one_scan():
-    # the scan's candidate, 4, fails on q^6; the stride of 2 that a full
-    # scan would find is skipped, and the kernels run on the full lists
-    a = [1, 0, 0, 0, 1, 0, 1]
-    assert _stride(a, [1]) == 1
-    for g, b in ((a, [1]), ([1], a), (a, a)):
-        assert _mul_int(g, b) == _plain(_mul_int, g, b)
-    square = _plain(_mul_int, a, a)
-    assert _int_divides(a, square) == _plain(_int_divides, a, square) == a
-    assert _int_divides(a, [1]) is None and _plain(_int_divides, a, [1]) is None
-    assert _int_divides([1], a) == _plain(_int_divides, [1], a) == a
 
 
 def test_cleared_duality_terms_divide_narrower_than_the_dividend():
