@@ -25,8 +25,9 @@ The genus tables at q = 1 are checked against the (2m-1)!! gluings of a
 
 The closed-form evaluators (`hook_moment_closed_form`, `sigma_closed_form`,
 `p2m_closed_form`, `theorem5_rhs`, `qhz_rhs`) reproduce printed formulas
-exactly as printed, known defects included, with p_2m and Theorem 5 written
-as sums of the printed sigma_{m,t}; correctness judgments live in `qgue.verify`.
+exactly as printed, known defects included.  The printed hook term is written
+once, in `qxpoly._hook_term`; sigma_{m,t} is the hook pair (2t, 2t+1) collapsed
+by q-Pascal, and p_2m and Theorem 5 sum it.  Verdicts live in `qgue.verify`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .exactq import (
     q_factorial,
     q_integer,
 )
-from .qxpoly import XPoly, gaussian_moment
+from .qxpoly import XPoly, _hook_term, gaussian_moment
 from .symschur import (
     MonomialMap,
     Partition,
@@ -210,33 +211,23 @@ def hermite_squared_moment(m: int, s: int) -> Scalar:
 
 
 def hook_moment_closed_form(ell: int, m: int, N: int) -> Scalar:
-    """Printed hook-partition integral for mu = (ell+1, 1, ..., 1) of weight 2m."""
+    """Printed integral of the hook (ell+1, 1^(2m-ell-1)): the hook term of [N+ell over 2m]_q."""
     if m < 1 or ell < 0 or 2 * m - ell - 1 < 0:
         raise ValueError("needs m >= 1 and 0 <= ell <= 2m - 1")
-    f = ell // 2
-    value = (
-        Scalar.q_power((m - f - 1) * (m - f - 2))
-        * q_binomial(N + ell, 2 * m)
-        * q_binomial(m - 1, f, squared=True)
-        * m_q(2 * m - 1)
-    )
-    return -value if (m - f) % 2 else value
+    return _hook_term(q_binomial(N + ell, 2 * m), m, ell // 2, "printed")
 
 
 def sigma_closed_form(m: int, t: int, N: int) -> Scalar:
     """Printed integral of the hook-pair difference sigma_{m,t}, the term p_2m and Theorem 5 sum.
 
-    The binomials go first, so a zero binomial skips the product with M_q(2m-1).
+    It is the printed hook pair H(2t) - H(2t+1), collapsed by q-Pascal,
+    [n over k] - [n+1 over k] = -q**(n+1-k) [n over k-1] at n = N+2t, k = 2m:
+    the negated hook term of [N+2t over 2m-1]_q, its exponent raised by n+1-k.
     """
     if m < 1 or t < 0:
         raise ValueError("needs m >= 1 and t >= 0")
-    value = (
-        q_binomial(N + 2 * t, 2 * m - 1)
-        * q_binomial(m - 1, t, squared=True)
-        * m_q(2 * m - 1)
-        * Scalar.q_power((m - t - 1) * (m - t - 2) + (N + 2 * t + 1 - 2 * m))
-    )
-    return value if (m - t + 1) % 2 == 0 else -value
+    binomial = q_binomial(N + 2 * t, 2 * m - 1)
+    return _hook_term(binomial, m, t, "printed", N + 2 * t + 1 - 2 * m, negate=True)
 
 
 def p2m_closed_form(m: int, N: int) -> Scalar:

@@ -199,6 +199,8 @@ def _sigma(max_weight: int, max_vars: int) -> Iterator[PointResult]:
     for m in range(1, max_weight // 2 + 1):
         for n in range(1, max_vars + 1):
             # oracle integrals of the hooks (2m - i, 1^i) of p_2m that fit, by i
+            # the oracle pairs the legs i = 2m - 2t, 2m - 2t - 1, that is ell in {2t - 1, 2t},
+            # while the printed sigma pairs ell in {2t, 2t + 1}
             hooks = {
                 mu.length - 1: integrate_schur(mu, n, "oracle")
                 for mu in power_sum_vector(m, n).entries

@@ -17,7 +17,9 @@ only `hermite` and `functional_L` with the library.  The cleared duality
 sums take every term e_j E_(d-j) [d]! as its own product, the direct loop
 that the library's products (e_j [j]!) (E_(d-j) [d-j]!) [d over j] replace.  The printed
 p_2m and Theorem 5 sums keep their prefactor outside the sum, as printed,
-where the library sums the printed sigma_{m,t} term.  q-factorials and M_q
+where the library sums the printed sigma_{m,t} term.  The printed hook
+integral is its own product, as printed, where the library's three hook
+forms read one hook term.  q-factorials and M_q
 are plain products of q-integers, the definition that the library's one
 q-ratio step replaces.
 """
@@ -119,6 +121,21 @@ def cleared_duality_sum(d, squared, coefficient=series_coefficient):
         t = coefficient(j, "e", squared) * coefficient(d - j, "E", squared) * factor
         total = total - t if (d - j) % 2 else total + t
     return total
+
+
+def printed_hook(ell, m, N):
+    """The printed hook integral of (ell+1, 1^(2m-ell-1)), verbatim.
+
+    Past the hook, at ell >= 2m, [m-1 over ell//2]_{q^2} is zero and so is the form.
+    """
+    f = ell // 2
+    value = (
+        Scalar.q_power((m - f - 1) * (m - f - 2))
+        * q_binomial(N + ell, 2 * m)
+        * q_binomial(m - 1, f, squared=True)
+        * m_q(2 * m - 1)
+    )
+    return -value if (m - f) % 2 else value
 
 
 def printed_p2m(m, N):

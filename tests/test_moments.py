@@ -42,6 +42,7 @@ from qgue import (
     sigma_closed_form,
     theorem5_lhs,
     theorem5_rhs,
+    truncated_in_shadow_basis,
 )
 from qgue import moments, qxpoly
 from oracles import (
@@ -50,6 +51,7 @@ from oracles import (
     hermite_squared_by_product,
     operator_series,
     pairing_genus_counts_by_matchings,
+    printed_hook,
     printed_p2m,
     printed_theorem5_rhs,
     telescoped_even_moments,
@@ -189,6 +191,47 @@ def test_hook_moment_closed_form_examples():
     assert integrate_schur(P((4,)), 1, "oracle") == q_integer(3)
     with pytest.raises(ValueError):
         hook_moment_closed_form(4, 2, 1)
+
+
+def test_hook_forms_read_the_printed_hook():
+    # the hook integral and the printed shadow-basis coefficient at S_(N+ell-2m)
+    # are the same printed term; a missing key is zero
+    points = 0
+    for N in range(1, 8):
+        for ell in range(1, 9):
+            printed = truncated_in_shadow_basis(N, ell, "printed")
+            for m in range((ell + 2) // 2, 10):
+                expected = printed_hook(ell, m, N)
+                assert hook_moment_closed_form(ell, m, N) == expected, (ell, m, N)
+                assert printed.get(N + ell - 2 * m, ZERO) == expected, (ell, m, N)
+                points += 1
+    assert points == 392
+
+
+def test_sigma_is_the_printed_hook_pair():
+    # sigma_{m,t} = H(2t) - H(2t+1); the hooks past 2m - 1 (t = m) are zero as printed
+    points = 0
+    for m in range(1, 9):
+        for N in range(1, 10):
+            for t in range(m + 1):
+                pair = printed_hook(2 * t, m, N) - printed_hook(2 * t + 1, m, N)
+                assert sigma_closed_form(m, t, N) == pair, (m, t, N)
+                points += 1
+    assert points == 396
+
+
+def test_fast_hook_integral_is_the_closed_hook_term():
+    # the corrected Theorem 4: the fast integral of the hook (ell+1, 1^(2m-ell-1))
+    # is (-1)**ell times the hook term with the closed exponent (m-f-1)(m-f)
+    points = 0
+    for N in range(1, 8):
+        for m in range(1, 6):
+            for ell in range(max(0, 2 * m - N), 2 * m):
+                hook = P((ell + 1,) + (1,) * (2 * m - ell - 1))
+                term = qxpoly._hook_term(q_binomial(N + ell, 2 * m), m, ell // 2, "closed")
+                assert integrate_schur(hook, N) == (-term if ell % 2 else term), (ell, m, N)
+                points += 1
+    assert points == 118
 
 
 def test_sigma_and_p2m_closed_forms():

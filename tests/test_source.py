@@ -311,6 +311,23 @@ def test_one_json_writer():
     assert len(found) == 1, f"functions that call json.dumps: {found}"
 
 
+def test_one_squared_q_binomial():
+    # the hook term [m-1 over f]_{q^2} M_q(2m-1) is written once, in qxpoly._hook_term,
+    # so one call passes squared=True: a second copy of the product would add one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _dotted(node.func) == "q_binomial"
+        and any(
+            isinstance(arg, ast.Constant) and arg.value is True
+            for arg in [*node.args[2:], *(k.value for k in node.keywords if k.arg == "squared")]
+        )
+    ]
+    assert len(found) == 1, f"calls of q_binomial with squared=True: {found}"
+
+
 def test_cli_errors_are_printed_only_by_main():
     # a command raises and main prints the one error line and returns 2
     tree = next(tree for path, tree in _trees() if path.name == "cli.py")

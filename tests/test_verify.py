@@ -191,6 +191,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("truncation_theorem2_n12.json", ["truncation", "theorem2"], {"max_n": 12}),
         # duality at its cap, past the default d <= 30
         ("duality_n40.json", ["duality"], {"max_n": 40}),
+        # theorem4 past its default (8, 4)
+        ("theorem4_w12_v5.json", ["theorem4"], {"max_weight": 12, "max_vars": 5}),
         # sigma, p_2m and theorem5 past their defaults
         (
             "sigma_theorem5_w12_v4_n8.json",
