@@ -24,6 +24,7 @@ from .moments import (
     p2m_closed_form,
     theorem5_rhs,
 )
+from .qxpoly import XPoly, functional_L, hermite
 from .symschur import Partition, SizeError, _check_length
 from .verify import (
     SUITE_NAMES,
@@ -37,8 +38,8 @@ from .verify import (
 # bound on the x-degree 2(m+s) of a --hermite-sq request, for every method
 # (slowest inside it, in a cold process on a 2-vCPU machine: 0.15-0.25 s for
 # --method closed at (m, s) = (30, 0), (20, 10), (19, 11), (23, 7) and (25, 5),
-# and 0.06-0.08 s for the fast and oracle path count at (30, 0), (20, 10) and
-# (0, 30))
+# 0.08-0.15 s for the fast path count at (30, 0), (20, 10), (15, 15) and
+# (0, 30), and 0.37 s for the oracle's L(x^2m H_s H_s) at (0, 30))
 HERMITE_SQ_MAX_DEGREE = 60
 # bounds on the largest shadow degree kappa_1 + N - 1 and the weight of a fast
 # or closed --schur or --power-sum request; the coefficient minor's cost grows
@@ -170,6 +171,8 @@ def cmd_moment(args) -> int:
         query.update({"kind": "hermite_squared", "m": m, "s": s})
         if args.method == "closed":
             value = theorem5_rhs(m, s) * hermite_norm(s + 1)
+        elif args.method == "oracle":
+            value = functional_L(XPoly.x_power(2 * m) * hermite(s) * hermite(s))
         else:
             value = hermite_squared_moment(m, s)
     elif args.power_sum is not None:

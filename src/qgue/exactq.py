@@ -532,9 +532,6 @@ class QPolynomial(_Dense):
     def __str__(self) -> str:
         return _join_terms(self.coeffs, _coeff_str)
 
-    def latex(self) -> str:
-        return _join_terms(self.coeffs, _latex_coeff)
-
 
 _QP_ZERO = QPolynomial._raw(())
 _QP_ONE = QPolynomial._raw((1,))
@@ -839,9 +836,10 @@ def _latex_coeff(c, power: int) -> str:
 
 
 def _fold_q_integers(p: QPolynomial):
-    """Try to write p as c * q**v * prod [n]_q**e_n; return (c, v, factors) or None."""
-    if p.is_zero:
-        return None
+    """Try to write p as c * q**v * prod [n]_q**e_n; return (c, v, factors) or None.
+
+    p must be nonzero: `_latex_side` renders only the sides of a nonzero Scalar.
+    """
     v = p.valuation
     work = p.shifted(-v) if v else p
     factors: dict = {}

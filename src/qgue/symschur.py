@@ -27,11 +27,12 @@ Schur coefficients.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
+from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
-from .exactq import ONE, ZERO, Scalar, _trimmed
+from .exactq import ONE, ZERO, Scalar, _operand, _trimmed
 from .qxpoly import XPoly, _shadow_coefficient
 
 __all__ = [
@@ -172,10 +173,6 @@ class MonomialMap:
     @classmethod
     def constant(cls, n_vars: int, value: Coefficient) -> "MonomialMap":
         return cls(n_vars, {(0,) * n_vars: value})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def total_degree(self) -> int:
@@ -423,23 +420,16 @@ def _fold(terms: Dict, signature: Callable) -> Dict:
 def apply_M0(f: MonomialMap, moments: Moments) -> Scalar:
     """Apply a univariate functional coordinatewise: x**e_1 ... x**e_N maps to
     the product of moments(e_i).  Monomials are grouped by sorted exponent
-    signature so each product is computed once; an integer group sum enters
-    Q(q) when it is multiplied by the first moment."""
+    signature so each product is computed once; a group sum, as a Scalar, is
+    the first factor of one forward product with the moments."""
     return _apply_folded(_fold(f.terms, lambda e: tuple(sorted(e))), moments)
 
 
 def _apply_folded(groups: Dict[Iterable[int], Coefficient], moments: Moments) -> Scalar:
     """apply_M0 of the monomials with these sorted exponent signatures."""
-    total = ZERO
-    for sig, c in groups.items():
-        prod = c
-        for e in sig:
-            if not prod:
-                break
-            prod = prod * moments(e)
-        if prod:
-            total = total + prod
-    return total
+    return sum(
+        (reduce(mul, map(moments, sig), _operand(c)) for sig, c in groups.items() if c), ZERO
+    )
 
 
 def apply_M2(f: MonomialMap, moments: Moments) -> Scalar:

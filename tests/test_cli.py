@@ -14,21 +14,23 @@ from unittest import mock
 
 import pytest
 
-from qgue import Scalar, cli, evaluate_at, hermite_squared_moment, verify
+from qgue import (
+    Scalar,
+    cli,
+    evaluate_at,
+    exactq,
+    hermite_squared_moment,
+    moments,
+    qxpoly,
+    symschur,
+    verify,
+)
 from qgue.cli import AT_Q_MAX_DIGITS, INT_MAX_DIGITS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # stdout and exit code of cold `qgue` processes, recorded for the benchmark
 REFERENCE = json.loads((ROOT / "perfbench" / "reference" / "queries.json").read_text())
-
-
-def _pinned(query: str) -> bool:
-    argv = query.split()
-    if "--method" in argv and argv[argv.index("--method") + 1] == "oracle":
-        return argv[argv.index("--n-vars") + 1] == "4"
-    fast = "--schur" in argv or "--power-sum" in argv
-    return fast or query == "table --harer-zagier --max-m 6 --format json"
 
 
 needs_digit_limit = pytest.mark.skipif(
@@ -114,6 +116,16 @@ def test_moment_hermite_sq(capsys):
     # the largest request the benchmark makes stays inside the x-degree bound
     code, out, _ = run(capsys, "moment", "--hermite-sq", "4,20")
     assert code == 0 and out.startswith("q^260+24q^261+")
+
+
+def test_moment_hermite_sq_oracle_is_the_functional_not_the_walk(capsys):
+    # the oracle applies L to x^2m H_s H_s; the fast path counts weighted paths
+    pairs = [(m, s) for m in range(13) for s in range(13 - m)]
+    fast = {p: run(capsys, "moment", "--hermite-sq", "%d,%d" % p)[1] for p in pairs}
+    with mock.patch.object(moments, "_walk", side_effect=AssertionError("walk on oracle path")):
+        for p in pairs:
+            got = run(capsys, "moment", "--hermite-sq", "%d,%d" % p, "--method", "oracle")
+            assert got == (0, fast[p], ""), p
 
 
 # stdout of `moment --hermite-sq M,S --method closed` at four (M, S) whose
@@ -491,10 +503,26 @@ def test_verify_refuses_a_read_only_report_before_any_suite(capsys, tmp_path):
     assert spy.call_count == 0 and report.read_text() == "earlier report\n"
 
 
-@pytest.mark.parametrize("query", sorted(filter(_pinned, REFERENCE)))
+@pytest.mark.parametrize("query", sorted(REFERENCE))
 def test_output_matches_benchmark_reference(capsys, query):
     code, out, _ = run(capsys, *query.split())
     assert (code, out) == (REFERENCE[query]["exit_code"], REFERENCE[query]["stdout"])
+
+
+def test_reference_queries_make_only_forward_scalar_operations(capsys):
+    # every Scalar operation keeps the Scalar on the left: a reflected call,
+    # such as int * Scalar, is one a tracer of the forward operators misses
+    for mod in (exactq, qxpoly, symschur, moments):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    reflected = ("__radd__", "__rmul__", "__rsub__", "__rtruediv__")
+    queries = [q for q in sorted(REFERENCE) if "oracle" in q or not q.startswith("moment")]
+    failing = {name: mock.Mock(side_effect=AssertionError(name)) for name in reflected}
+    with mock.patch.multiple(Scalar, **failing):
+        for query in queries:
+            code, out, _ = run(capsys, *query.split())
+            assert (code, out) == (REFERENCE[query]["exit_code"], REFERENCE[query]["stdout"]), query
 
 
 class _FullStdout(io.StringIO):

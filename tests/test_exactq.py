@@ -355,6 +355,15 @@ def test_latex_rendering():
         Scalar(QPolynomial([3, 0, -18, -4, 6]), 6).latex()
         == r"\tfrac{1}{2}-3q^{2}-\tfrac{2}{3}q^{3}+q^{4}"
     )
+    # a folded side prints its number, then its power of q, then its q-integers
+    three = q_integer(3)
+    assert ZERO.latex() == "0"
+    assert (-three).latex() == "-[3]_q"
+    assert (three * 3).latex() == "3[3]_q" and (three * -3).latex() == "-3[3]_q"
+    assert (three / 2).latex() == r"\tfrac{1}{2}[3]_q"
+    assert (three / -2).latex() == r"-\tfrac{1}{2}[3]_q"
+    assert (three * three * Scalar.q_power(1)).latex() == "q[3]_q^{2}"
+    assert (three / (q_integer(2) * 2)).latex() == r"\frac{\tfrac{1}{2}[3]_q}{[2]_q}"
 
 
 def test_latex_folding_tests_q_equals_2_first():
@@ -701,6 +710,32 @@ def test_packed_division_falls_back_when_the_quotient_overflows_its_slots():
     with mock.patch.object(exactq, "_int_divmod", side_effect=_int_divmod) as divmod_:
         assert _int_divides(g, b) == g + [5]
     assert divmod_.call_count == 0
+
+
+def test_packed_division_falls_back_when_the_quotient_does_not_unpack():
+    # a is g(256) (256^16 + 12345) in balanced base-256 digits, the top digit
+    # taking the rest: the packed division at one byte divides exactly, but its
+    # quotient needs 17 slots where 16 are open, so `_slots` refuses it and the
+    # schoolbook loop finds a remainder
+    g = [1] * 16
+    g[14] = 2**200
+    x = exactq._eval_int(g, 256) * (256**16 + 12345)
+    a = []
+    for _ in range(30):
+        a.append((x + 128) % 256 - 128)
+        x = (x - a[-1]) // 256
+    a.append(x)
+    unpacked = []
+
+    def slots(*args):
+        unpacked.append(_slots(*args))
+        return unpacked[-1]
+
+    with mock.patch.object(exactq, "_slots", slots), mock.patch.object(
+        exactq, "_int_divmod", side_effect=_int_divmod
+    ) as divmod_:
+        assert _int_divides(g, a) is None
+    assert unpacked == [None] and divmod_.call_count == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
