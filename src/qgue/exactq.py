@@ -38,8 +38,11 @@ is Z[q]; rationals appear only where numbers come in or go out.
     Otherwise each side splits into content and primitive part, num keeping
     its sign and den made positive-leading; by Gauss's lemma one exact
     division of the primitive parts decides whether den divides num over Q,
-    and when it does not, their gcd is divided out.  Sums trim their top
-    without revalidating, and negation and scaling run through `map`.
+    and when it does not, their gcd is divided out.  A pair (p, 1) is
+    canonical for every p in Z[q], so the sum, difference or product of two
+    Scalars with denominator 1 (tested by value) skips the reduction.  Sums
+    trim their top without revalidating, and negation and scaling run
+    through `map`.
   * The q-products [n]!, M_q(n) = [n][n-2]... and the Gaussian binomials
     are built by one step, `_times_q_ratio`, since [m]_q = (1 - q^m)/(1 - q):
     times (1 - q^a)/(1 - q^b) is a shifted subtraction and a running sum over
@@ -634,7 +637,14 @@ def _operand(x) -> Optional["Scalar"]:
 
 
 class Scalar:
-    """Element of Q(q): a coprime integer pair num/den, joint content 1 and lc(den) > 0."""
+    """Element of Q(q): a coprime integer pair num/den, joint content 1 and lc(den) > 0.
+
+    A pair (p, 1) is canonical for every p in Z[q]: it is coprime, its joint
+    content is gcd(content(p), 1) = 1 and lc(1) > 0.  So the sum or product of
+    two Scalars with denominator 1 is built as (p, 1) with no reduction; any
+    other pair goes through `_reduce_pair`, whose single-term-side shortcut is
+    proved there.
+    """
 
     __slots__ = ("num", "den")
 
@@ -714,6 +724,8 @@ class Scalar:
             return other
         if c.is_zero:
             return self
+        if b.is_one and d.is_one:
+            return Scalar._make(a + c, _QP_ONE)
         if b == d:
             return Scalar._make(*_reduce_pair(a + c, b))
         return Scalar._make(*_reduce_pair(a * d + c * b, b * d))
@@ -736,6 +748,8 @@ class Scalar:
             return NotImplemented
         if self.num.is_zero or other.num.is_zero:
             return ZERO
+        if self.den.is_one and other.den.is_one:
+            return Scalar._make(self.num * other.num, _QP_ONE)
         return Scalar._make(*_reduce_pair(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__

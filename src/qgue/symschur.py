@@ -322,41 +322,65 @@ def det(matrix: List[List[Scalar]]) -> Scalar:
         raise ValueError(f"det needs a square matrix, got row lengths {[len(r) for r in matrix]}")
     if n == 0:
         return ONE
-    m = [list(row) for row in matrix]
+    *_, d = _bareiss([list(row) for row in matrix], n)
+    return d
+
+
+def _bareiss(m: List[List[Scalar]], reach: int) -> Iterator[Scalar]:
+    """Fraction-free (Bareiss) elimination of the square matrix m, in place.
+
+    Step k yields sign * m[k][k], the det of the leading (k + 1)-block of m with
+    its rows as swapped so far (Sylvester's identity: each step leaves below and
+    right of its pivot the minors of the leading block bordered by one row and
+    one column, divided exactly by the pivot before).  A zero pivot is then
+    swapped with the first of the next `reach` rows that is nonzero in column k;
+    with none, the elimination stops.  The last value yielded is det m.
+    """
+    n = len(m)
     sign = 1
     prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
+    for k in range(n):
         pivot = m[k][k]
+        yield -pivot if sign < 0 else pivot
+        if pivot.is_zero:
+            i = next((i for i in range(k + 1, min(n, k + 1 + reach)) if not m[i][k].is_zero), None)
+            if i is None:
+                return
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+            pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) / prev
             m[i][k] = ZERO
         prev = pivot
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
 
 
-def _coefficient_minor(
+def _leading_minors(matrix: List[List[Scalar]]) -> List[Scalar]:
+    """The leading principal minors of a square matrix, of orders 1 to n, from one
+    elimination.  Only row k + 1 may replace a zero pivot k: the swap leaves the
+    row set of every larger leading block as it was, so each step still yields
+    the leading minor of the input.  When row k + 1 cannot, the larger minors are
+    the dets of their blocks."""
+    minors = list(_bareiss([list(row) for row in matrix], 1))
+    n = len(matrix)
+    return minors + [det([row[:j] for row in matrix[:j]]) for j in range(len(minors) + 1, n + 1)]
+
+
+def _coefficient_matrix(
     coefficient: CoefficientFn, n_vars: int, kappa: Partition, lam: Partition
-) -> Scalar:
-    """The s_lambda coefficient of F_kappa for lambda inside kappa: det C with
-    C[j][l] = coefficient(kappa_l + N - 1 - l, lambda_j + N - 1 - j).  A column
-    l >= len(kappa) is monic of degree N - 1 - l, so it is zero above row l and
-    1 on row l; C is block lower triangular with a unit block, and det C is its
-    leading len(kappa) x len(kappa) minor, the only part read here."""
+) -> List[List[Scalar]]:
+    """The matrix whose det is the s_lambda coefficient of F_kappa, for lambda
+    inside kappa: the full matrix is C[j][l] = coefficient(kappa_l + N - 1 - l,
+    lambda_j + N - 1 - j).  A column l >= len(kappa) is monic of degree
+    N - 1 - l, so it is zero above row l and 1 on row l; C is block lower
+    triangular with a unit block, and det C is the det of its leading
+    len(kappa) x len(kappa) block, the only part built here."""
     _check_length(kappa, n_vars)
     size = range(kappa.length)
     degrees = [kappa.part(col) + n_vars - 1 - col for col in size]
     exponents = [lam.part(row) + n_vars - 1 - row for row in size]
-    return det([[coefficient(n, e) for n in degrees] for e in exponents])
+    return [[coefficient(n, e) for n in degrees] for e in exponents]
 
 
 def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector:
@@ -369,7 +393,7 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
     coefficient = _family_coefficients(fam, kappa, n_vars)
     entries: Dict[Partition, Scalar] = {}
     for lam in kappa.subdiagrams():
-        d = _coefficient_minor(coefficient, n_vars, kappa, lam)
+        d = det(_coefficient_matrix(coefficient, n_vars, kappa, lam))
         if not d.is_zero:
             entries[lam] = d
     return SchurVector(entries, n_vars)
@@ -379,7 +403,15 @@ def family_expand(fam: PolyFamily, kappa: Partition, n_vars: int) -> SchurVector
 def sigma_at_zero(kappa: Partition, n_vars: int) -> Scalar:
     """The empty-partition coefficient of the shadow family expansion of kappa:
     the minor of shadow coefficients, read from their closed form."""
-    return _coefficient_minor(_shadow_coefficient, n_vars, kappa, Partition())
+    return det(_coefficient_matrix(_shadow_coefficient, n_vars, kappa, Partition()))
+
+
+def _hook_sigmas_at_zero(ell: int, n_vars: int) -> List[Scalar]:
+    """sigma_at_zero(hook_partition(ell + 1, i), n_vars) for i < n_vars.  The
+    matrix of each hook is the leading (i + 1)-block of the matrix for
+    i = n_vars - 1, so one elimination gives every value."""
+    kappa = hook_partition(ell + 1, n_vars - 1)
+    return _leading_minors(_coefficient_matrix(_shadow_coefficient, n_vars, kappa, Partition()))
 
 
 def power_sum_vector(m: int, n_vars: int) -> SchurVector:
@@ -464,4 +496,6 @@ def check_oracle_size(n_vars: int, degree: int) -> None:
 def generalized_binomial(lam: Partition, kappa: Partition, n_vars: int) -> Scalar:
     """The kappa-coefficient of the (x+1)**n family expansion of lambda."""
     coefficient = _family_coefficients(binomial_family, lam, n_vars)
-    return _coefficient_minor(coefficient, n_vars, lam, kappa) if lam.contains(kappa) else ZERO
+    if not lam.contains(kappa):
+        return ZERO
+    return det(_coefficient_matrix(coefficient, n_vars, lam, kappa))

@@ -20,11 +20,10 @@ from .exactq import ONE, ZERO, Scalar, q_binomial, q_factorial, series_coefficie
 from .qxpoly import XPoly, functional_L, hermite, truncated_in_shadow_basis
 from .symschur import (
     SizeError,
+    _hook_sigmas_at_zero,
     check_oracle_size,
-    hook_partition,
     partitions,
     power_sum_vector,
-    sigma_at_zero,
 )
 from .moments import (
     hermite_norm,
@@ -143,10 +142,18 @@ def _duality(max_n: int) -> Iterator[PointResult]:
 
 
 def _orthogonality(max_n: int) -> Iterator[PointResult]:
+    # L(H_n H_m) is symmetric in (n, m): each is integrated once, at m >= n,
+    # and held until the grid reaches (m, n)
+    held: Dict[Tuple[int, int], Scalar] = {}
     for n in range(max_n + 1):
         for m in range(max_n + 1):
             params = (("n", n), ("m", m))
-            oracle = functional_L(hermite(n) * hermite(m))
+            if m < n:
+                oracle = held.pop((m, n))
+            else:
+                oracle = functional_L(hermite(n) * hermite(m))
+                if m > n:
+                    held[n, m] = oracle
             closed = hermite_norm(n) if n == m else ZERO
             yield _classify(params, closed, oracle)
 
@@ -163,11 +170,12 @@ def _theorem2(max_vars: int, max_ell: int) -> Iterator[PointResult]:
     for n in range(1, max_vars + 1):
         for ell in range(1, max_ell + 1):
             coeffs = truncated_in_shadow_basis(n, ell, "direct")
+            # sigma_at_zero of the hooks (ell + 1, 1^i), i < N, from one elimination
+            oracles = _hook_sigmas_at_zero(ell, n)
             for i in range(n):
                 value = coeffs.get(n - 1 - i, ZERO)
                 closed = -value if (n - 1 - i) % 2 else value
-                oracle = sigma_at_zero(hook_partition(ell + 1, i), n)
-                yield _classify((("N", n), ("ell", ell), ("i", i)), closed, oracle)
+                yield _classify((("N", n), ("ell", ell), ("i", i)), closed, oracles[i])
 
 
 def _theorem3_rows(rows: Iterable[Tuple[int, int]]) -> Iterator[PointResult]:

@@ -26,7 +26,7 @@ from qgue import (
     q_integer,
     series_coefficient,
 )
-from qgue import exactq
+from qgue import exactq, qxpoly
 from qgue.exactq import (
     _PACK_MIN_LEN,
     _bits,
@@ -1029,3 +1029,77 @@ def test_constants_hash_like_the_numbers_they_equal(c):
         assert value == c and hash(value) == hash(c)
         assert len({value, c}) == 1 and {c: "c"}.get(value) == "c"
     assert hash(ZERO) == hash(0) and {1: "one"}.get(ONE) == "one"
+
+
+def _reduced(num, den):
+    """The canonical Scalar of num/den by the general reduction."""
+    return Scalar._make(*exactq._reduce_pair(num, den))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.sampled_from((1, -1, 2, 6)),
+    st.sampled_from((1, 3)),
+)
+@example([], [3], 1, 1)  # a zero operand
+@example([0, 0, 5], [0, -5], 1, 1)  # monomials
+@example([1, 2], [-1, -2], 1, 3)  # a sum that cancels to zero
+@example([2, 4], [6], 2, 1)  # a constant, and content shared by both sides
+@example([3, 0, -1], [0, 2, -4], -1, 3)  # negative leads
+def test_polynomial_scalars_skip_the_reduction(a, b, content, k):
+    # (p, 1) is canonical for every p in Z[q], so a sum, difference or product
+    # of two such Scalars is built from the Z[q] result with no reduction; k = 3
+    # builds the operands as (k p)/k, whose reduction hands back a fresh (1,)
+    # rather than the shared one, and the shortcut must test it by value
+    x, y = (Scalar(QPolynomial([k * content * c for c in cs]), k) for cs in (a, b))
+    assert x.den.coeffs == y.den.coeffs == (1,)
+    for op in (operator.add, operator.sub, operator.mul):
+        with mock.patch.object(
+            exactq, "_reduce_pair", side_effect=exactq._reduce_pair
+        ) as reduce_pair:
+            got = op(x, y)
+        assert reduce_pair.call_count == 0
+        want = _reduced(op(x.num, y.num), QPolynomial([1]))
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+def test_a_rational_side_still_reduces():
+    # with one denominator other than 1, sums and products take the reduction
+    d = QPolynomial([1, 0, -1])
+    x = Scalar(QPolynomial([1, 1]))  # 1 + q
+    y = Scalar(2, d)  # 2/(1 - q^2), held as -2/(q^2 - 1)
+    half = Scalar(Fraction(1, 2))
+    cases = [
+        (x * y, Scalar(-2, QPolynomial([-1, 1]))),  # 2/(1 - q): 1 + q cancels
+        (y * x, Scalar(-2, QPolynomial([-1, 1]))),
+        (x + y, Scalar(x.num * d + QPolynomial([2]), d)),
+        (x - y, Scalar(x.num * d - QPolynomial([2]), d)),
+        (half * Scalar(QPolynomial([2, 4])), Scalar(QPolynomial([1, 2]))),  # content cancels
+        (half + x, Scalar(QPolynomial([3, 2]), 2)),
+    ]
+    for got, want in cases:
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        assert got.den.leading > 0
+    with mock.patch.object(
+        exactq, "_reduce_pair", side_effect=exactq._reduce_pair
+    ) as reduce_pair:
+        x * y, x + y, half * x
+    assert reduce_pair.call_count == 3
+
+
+def test_hermite_norm_integrand_makes_no_reduction():
+    # Hermite coefficients, L(x^n) and the product H_8^2 all lie in Z[q], so a
+    # cold build and integration never reduce a pair
+    for mod in (exactq, qxpoly):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with mock.patch.object(
+        exactq, "_reduce_pair", side_effect=exactq._reduce_pair
+    ) as reduce_pair:
+        h = qxpoly.hermite(8)
+        value = qxpoly.functional_L(h * h)
+    assert reduce_pair.call_count == 0
+    assert value == Scalar.q_power(28) * q_factorial(8)

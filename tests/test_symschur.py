@@ -13,6 +13,7 @@ from qgue import (
     ZERO,
     MonomialMap,
     Partition,
+    QPolynomial,
     Scalar,
     ShapeError,
     SizeError,
@@ -143,6 +144,57 @@ def test_determinant():
     for bad in ([[one, one]], [[one, one], [one]]):
         with pytest.raises(ValueError):
             det(bad)
+
+
+def _blocks(matrix):
+    """The leading principal minors of matrix, each by det of its own block."""
+    return [det([row[:j] for row in matrix[:j]]) for j in range(1, len(matrix) + 1)]
+
+
+def test_hook_sigmas_come_from_one_elimination():
+    # theorem2's oracle values for the hooks (ell + 1, 1^i), i < N, are the
+    # leading minors of one matrix; every other one is zero, and each zero
+    # pivot is passed by swapping in the next row, so no block needs det
+    for n in range(1, 7):
+        for ell in range(1, 7):
+            want = [sigma_at_zero(hook_partition(ell + 1, i), n) for i in range(n)]
+            assert n == 1 or any(w.is_zero for w in want)
+            with mock.patch.object(symschur, "det", side_effect=AssertionError("det")):
+                assert symschur._hook_sigmas_at_zero(ell, n) == want
+
+
+def test_leading_minors_fall_back_to_det_past_an_unswappable_zero_pivot():
+    one, two, q = ONE, Scalar(2), Scalar.q_power(1)
+    cases = [
+        # pivot 0 is zero and row 1 is zero in column 0: orders 2 and 3 use det
+        ([[ZERO, one, two], [ZERO, q, one], [one, two, q]], 2),
+        # pivot 0 is zero and row 1 is swapped in: no det
+        ([[ZERO, one], [one, ZERO]], 0),
+        # pivot 1 is zero after elimination, and so is its neighbour below it
+        ([[one, one, one], [one, one, one], [one, one, q]], 1),
+        ([[one, q], [q, one]], 0),
+    ]
+    for matrix, fallbacks in cases:
+        want = _blocks(matrix)
+        with mock.patch.object(symschur, "det", side_effect=symschur.det) as spy:
+            got = symschur._leading_minors(matrix)
+        assert got == want
+        assert spy.call_count == fallbacks
+
+
+sparse_entry = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), max_size=3)
+square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(sparse_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(square)
+def test_leading_minors_match_the_dets_of_their_blocks(rows):
+    # sparse small entries, so that zero pivots, swaps and fallbacks all occur
+    matrix = [[Scalar(QPolynomial(cs)) for cs in row] for row in rows]
+    assert symschur._leading_minors(matrix) == _blocks(matrix)
+    assert det(matrix) == _blocks(matrix)[-1]
 
 
 def test_family_expand_monomials_is_identity():

@@ -133,6 +133,17 @@ def test_duality_and_orthogonality_clean():
     assert not has_discrepancies(results)
 
 
+def test_orthogonality_integrates_each_unordered_pair_once():
+    # L(H_n H_m) = L(H_m H_n), so the 7 x 7 grid at max_n 6 integrates 7 * 8 / 2 products
+    with mock.patch.object(verify, "functional_L", wraps=verify.functional_L) as spy:
+        results = verify_suite(["orthogonality"], max_n=6)
+    assert spy.call_count == 28
+    assert [dict(p.params) for p in results[0].points] == [
+        {"n": n, "m": m} for n in range(7) for m in range(7)
+    ]
+    assert not has_discrepancies(results)
+
+
 def test_duality_pairing_reads_every_library_coefficient():
     # each term is (e_j [j]!) (E_(d-j) [d-j]!) [d over j], an identity for any
     # values of the library's coefficients, so a wrong coefficient is reported
