@@ -16,7 +16,15 @@ Two parallel routes to multivariate integrals live here:
     result is exact for any integrand.  A monomial's key is one int with a
     byte per exponent; the guardrail keeps every exponent of the product
     below 256, so adding keys multiplies monomials and never carries.  The
-    squared Vandermonde is built once per N in keys.
+    alternant is built once per N in keys, and the squared Vandermonde once
+    per N and parity class of its exponents.  When the functional is zero at
+    every odd exponent the product can hold, as the Gaussian one is, a row of
+    the folded integrand meets only the class of its own parity; otherwise it
+    meets every class.
+
+Determinants split into the connected components of their nonzero pattern
+(`det`).  The shadow and q-Hermite coefficient matrices are checkerboards, so
+each elimination runs on two blocks of about half the order.
 
 Determinant orientation is fixed once and for all: in every alternant the
 row index is the variable and column j carries exponent kappa_j + N - j
@@ -213,24 +221,46 @@ def _key(exps: Iterable[int]) -> int:
 Keyed = Iterable[Tuple[int, Coefficient]]
 
 
-def _key_product(left: Keyed, right: Keyed) -> Dict[int, Coefficient]:
-    """The product of two maps given as (key, coefficient) pairs, whose sums of
-    exponents stay below 256: one pass over right per term of left."""
+def _key_product(factors: Iterable[Tuple[int, Coefficient, Keyed]]) -> Dict[int, Coefficient]:
+    """The sum of the products c * x**k * right over the factors (k, c, right),
+    whose sums of exponents stay below 256: one pass over right per factor."""
     out: Dict[int, Coefficient] = {}
     get = out.get
-    for ka, ca in left:
+    for ka, ca, right in factors:
         for kb, cb in right:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
 
 
+def _parity(n: int) -> int:
+    """The mask of each key's lowest bit per byte: k & _parity(n) is the key of
+    the exponents of k taken mod 2."""
+    return _key([1] * n)
+
+
 @lru_cache(maxsize=None)
-def _vandermonde_squared(n: int) -> Tuple[Tuple[int, int], ...]:
-    """The squared Vandermonde in n variables as (key, coefficient) pairs: the
-    N!**2 pairwise sums of the alternant's keys, whose exponents are < 2n."""
-    v = [(_key(e), c) for e, c in vandermonde(n).terms.items()]
-    return tuple((k, c) for k, c in _key_product(v, v).items() if c)
+def _alternant_keys(n: int) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+    """The Vandermonde in n variables as (key, coefficient) pairs, by parity."""
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for e, c in vandermonde(n).terms.items():
+        k = _key(e)
+        groups.setdefault(k & _parity(n), []).append((k, c))
+    return {p: tuple(terms) for p, terms in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_squared(n: int, parity: int) -> Tuple[Tuple[int, int], ...]:
+    """The terms of the squared Vandermonde in n variables whose exponents have
+    this parity, as (key, coefficient) pairs: the pair sums of alternant keys
+    whose parities differ by it.  Keys add without carry (exponents < 2n), so
+    the parity of ka + kb is (ka & P) ^ (kb & P), P = _parity(n)."""
+    groups = _alternant_keys(n)
+    mask = _parity(n)
+    terms = _key_product(
+        (k, c, groups.get((k & mask) ^ parity, ())) for part in groups.values() for k, c in part
+    )
+    return tuple((k, c) for k, c in terms.items() if c)
 
 
 def schur_monomials(kappa: Partition, n_vars: int) -> MonomialMap:
@@ -316,14 +346,77 @@ def _family_coefficients(fam: PolyFamily, kappa: Partition, n_vars: int) -> Coef
 
 
 def det(matrix: List[List[Scalar]]) -> Scalar:
-    """Determinant of a Scalar matrix by fraction-free (Bareiss) elimination."""
+    """Determinant of a Scalar matrix: the fraction-free (Bareiss) dets of the
+    blocks of its nonzero pattern, times the sign of the block permutations.
+
+    The components of the nonzero pattern (`_components`) hold every row, at
+    most n columns, and each nonzero entry in the rows and columns of one
+    component.  Unless every component is square, one has more rows than
+    columns; its rows are zero outside fewer columns than rows, so they are
+    dependent and det = 0.  If every component is square, list the rows
+    component by component (the permutation s) and the columns likewise (t):
+    the matrix reordered so is block diagonal, hence det = sgn(s) sgn(t) times
+    the product of the blocks' dets.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError(f"det needs a square matrix, got row lengths {[len(r) for r in matrix]}")
-    if n == 0:
-        return ONE
-    *_, d = _bareiss([list(row) for row in matrix], n)
-    return d
+    blocks = _components(matrix)
+    return _block_det(blocks, (list(_bareiss(_cut(matrix, *block), n))[-1] for block in blocks))
+
+
+def _block_det(groups: List[Tuple[List[int], List[int]]], dets: Iterable[Scalar]) -> Scalar:
+    """The det of a matrix whose nonzero entries each lie in the rows and columns
+    of one of these groups, which hold every row: ZERO unless each group is
+    square, else sgn(s) sgn(t) times the product of dets, the dets of the
+    groups' blocks in turn, which are then read (see `det`)."""
+    if any(len(rows) != len(cols) for rows, cols in groups):
+        return ZERO
+    value = reduce(mul, dets, ONE)
+    rows = [i for block, _ in groups for i in block]
+    cols = [j for _, block in groups for j in block]
+    return -value if _odd(rows) != _odd(cols) else value
+
+
+def _cut(matrix: List[List[Scalar]], rows: List[int], cols: List[int]) -> List[List[Scalar]]:
+    """A new matrix of the entries of matrix in these rows and columns."""
+    return [[matrix[i][j] for j in cols] for i in rows]
+
+
+def _components(matrix: List[List[Scalar]]) -> List[Tuple[List[int], List[int]]]:
+    """The connected components of the nonzero pattern of a square matrix, with
+    rows and columns as nodes, as (rows, columns), each ascending, in order of
+    their first rows.  A zero row is a component with no column; a zero column
+    is in none."""
+    n = len(matrix)
+    by_row = [[j for j, x in enumerate(row) if not x.is_zero] for row in matrix]
+    by_col: List[List[int]] = [[] for _ in range(n)]
+    for i, cols in enumerate(by_row):
+        for j in cols:
+            by_col[j].append(i)
+    row_seen, col_seen = [False] * n, [False] * n
+    out = []
+    for start in range(n):
+        if row_seen[start]:
+            continue
+        row_seen[start] = True
+        rows, cols = [start], []
+        for i in rows:  # rows grows while it is read
+            for j in by_row[i]:
+                if not col_seen[j]:
+                    col_seen[j] = True
+                    cols.append(j)
+                    for r in by_col[j]:
+                        if not row_seen[r]:
+                            row_seen[r] = True
+                            rows.append(r)
+        out.append((sorted(rows), sorted(cols)))
+    return out
+
+
+def _odd(order: List[int]) -> bool:
+    """Whether a permutation, listed as the images of 0, 1, ..., is odd."""
+    return sum(a > b for i, a in enumerate(order) for b in order[i + 1 :]) % 2 == 1
 
 
 def _bareiss(m: List[List[Scalar]], reach: int) -> Iterator[Scalar]:
@@ -357,14 +450,29 @@ def _bareiss(m: List[List[Scalar]], reach: int) -> Iterator[Scalar]:
 
 
 def _leading_minors(matrix: List[List[Scalar]]) -> List[Scalar]:
-    """The leading principal minors of a square matrix, of orders 1 to n, from one
-    elimination.  Only row k + 1 may replace a zero pivot k: the swap leaves the
-    row set of every larger leading block as it was, so each step still yields
-    the leading minor of the input.  When row k + 1 cannot, the larger minors are
-    the dets of their blocks."""
-    minors = list(_bareiss([list(row) for row in matrix], 1))
-    n = len(matrix)
-    return minors + [det([row[:j] for row in matrix[:j]]) for j in range(len(minors) + 1, n + 1)]
+    """The leading principal minors of a square matrix, of orders 1 to n.
+
+    The leading k-block holds each of its nonzero entries in the rows and
+    columns below k of one component of the whole pattern (`_components`), and
+    those rows and columns begin their component, so `_block_det` gives minor k
+    from each component's leading minor of order r, its number of rows below k.
+    A component's minors come from one elimination: only row j + 1 may replace
+    a zero pivot j, which leaves the row set of every larger leading block as it
+    was, so each step still yields a leading minor of the component.  When row
+    j + 1 cannot, the larger minors are the dets of their blocks."""
+    blocks = _components(matrix)
+    minors = []
+    for rows, cols in blocks:
+        size = min(len(rows), len(cols))
+        block = _cut(matrix, rows[:size], cols[:size])
+        found = [ONE, *_bareiss([list(row) for row in block], 1)]
+        found += [det([row[:j] for row in block[:j]]) for j in range(len(found), size + 1)]
+        minors.append(found)
+    out = []
+    for k in range(1, len(matrix) + 1):
+        cuts = [([i for i in rows if i < k], [j for j in cols if j < k]) for rows, cols in blocks]
+        out.append(_block_det(cuts, (found[len(r)] for (r, _), found in zip(cuts, minors))))
+    return out
 
 
 def _coefficient_matrix(
@@ -473,11 +581,31 @@ def apply_M2(f: MonomialMap, moments: Moments) -> Scalar:
     permutation s of the variables, and so is the squared Vandermonde V2; hence
     M0(x**(s e) V2) = M0(s(x**e V2)) = M0(x**e V2), and by linearity M0(f V2)
     depends only on the sum of f's coefficients over each signature.  The
-    product runs on keys (`_key`), which refuse a negative exponent."""
+    product runs on keys (`_key`), which refuse a negative exponent.
+
+    Each folded row meets V2 one parity class at a time (`_vandermonde_squared`).
+    Keys add byte by byte with no carry, since the guardrail keeps every
+    exponent below 256, so the product of a row of parity p with the class of
+    parity r has exponents of parity p ^ r.  No exponent of the product exceeds
+    top = f.total_degree + 2(N - 1).  If moments(e) is zero at every odd e <= top,
+    a term with an odd exponent e has the factor moments(e) = 0, so only the
+    class r = p adds anything and each row meets that class alone; otherwise
+    each row meets every class."""
     n = f.n_vars
     check_oracle_size(n, f.total_degree)
+    top = f.total_degree + 2 * (n - 1)
+    even = not any(moments(e) for e in range(1, top + 1, 2))
+    groups = _alternant_keys(n)
+    classes = {a ^ b for a in groups for b in groups}
+    mask = _parity(n)
     rows = _fold(f.terms, lambda e: _key(sorted(e))).items()
-    product = _key_product([r for r in rows if r[1]], _vandermonde_squared(n))
+    product = _key_product(
+        (k, c, _vandermonde_squared(n, r))
+        for k, c in rows
+        if c
+        for r in classes
+        if not even or r == k & mask
+    )
     return _apply_folded(_fold(product, lambda k: bytes(sorted(k.to_bytes(n, "big")))), moments)
 
 

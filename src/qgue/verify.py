@@ -308,27 +308,27 @@ def _even_weight_oracle(max_weight: int, max_vars: int) -> Tuple[int, int]:
 # qhz line was re-timed on one machine after the one-variable moments became
 # path counts, the theorem5 line after p_2m and Theorem 5 became sums of the
 # printed sigma term, the duality line after one q-ratio step built the
-# q-factorials and Gaussian binomials, and with six runs over two host
-# loads each, the theorem3, theorem4 and sigma lines after the monomial
-# oracle moved to byte keys and the theorem1, theorem2 and truncation lines
-# after the Scalar path applied each sign once and unpacked limb lanes.  Past
-# a cap, the duality, theorem1, theorem2, truncation and theorem5 lines time
-# the suite generator in a fresh process.  The qhz, theorem1, theorem2,
-# truncation, duality and theorem5 caps now sit below that range, and every
+# q-factorials and Gaussian binomials, the truncation line with six runs over
+# two host loads after the Scalar path applied each sign once and unpacked
+# limb lanes, and with six runs each, the theorem1, theorem2, theorem3,
+# theorem4 and sigma lines after det split by its nonzero pattern and the
+# monomial oracle multiplied by parity class.  Past a cap, the duality,
+# theorem1, theorem2, theorem3, truncation and theorem5 lines time the suite
+# generator in a fresh process.  Every cap now sits below that range, and every
 # bound stays until the caps are re-derived.  Caps on two bounds are timed
 # where both sit at their caps, the costliest request they admit; a 2(m+s) cap
 # is timed at the costliest (m, s) on its line:
 #   duality max_n 40: 0.10-0.12 s (41: 0.12-0.13 s, 50: 0.24-0.27 s);
 #   truncation max_total 23: 0.9-1.2 s (24: 1.0-1.5 s);
-#   theorem1 max_weight 12, max_vars 17: 1.7-2.3 s (max_vars 18: 1.8-2.8 s,
-#     max_weight 14: 2.9-4.6 s);
-#   theorem2 max_vars 8, max_ell 17: 1.4-2.2 s (max_vars 9: 2.7-4.1 s);
+#   theorem1 max_weight 12, max_vars 17: 0.46-0.76 s (max_vars 18: 0.50-0.70 s,
+#     max_weight 14: 0.87-1.19 s);
+#   theorem2 max_vars 8, max_ell 17: 0.39-0.51 s (max_vars 9: 0.52-0.58 s);
 #   theorem5 2(m+s) 52: 4.6-5.3 s at (17, 9) and (16, 10) (54: 6.5-6.7 s at (18, 9));
 #   qhz 2(m+s) 58: 0.2-0.3 s at (4, 25) and (3, 26) (60: 0.2-0.3 s at (4, 26), (5, 25));
-#   theorem3 max_weight 14: 7.3-13.8 s at max_vars 5 (15: 10.6-18.6 s).
+#   theorem3 max_weight 14: 1.53-1.90 s at max_vars 5 (15: 2.07-3.20 s).
 # theorem4 and sigma need no cap: the oracle guardrail bounds them, and at its
-# edge they take 2.7-4.4 and 2.3-5.0 s at (max_weight, max_vars) = (20, 5),
-# 0.7 and 1.0 s at (28, 4), and 0.2 and 0.6 s at (34, 3).
+# edge they take 0.62-1.03 and 0.71-1.02 s at (max_weight, max_vars) = (20, 5),
+# 0.30-0.54 and 0.41-0.59 s at (28, 4), and 0.13-0.20 and 0.22-0.35 s at (34, 3).
 # The max_s caps of 26 were timed at the default max_weight 6; for theorem5
 # the 2(m+s) cap is the tighter one.  theorem2's max_ell cap equals
 # orthogonality's max_n cap, so `--max-n 17` still runs every suite.

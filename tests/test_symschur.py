@@ -1,5 +1,6 @@
 """Partitions, Schur expansion machinery, and the multivariate oracle."""
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -37,6 +38,7 @@ from qgue import (
     shadow_hermite,
     sigma_at_zero,
     vandermonde,
+    verify_suite,
 )
 from qgue import moments, qxpoly, symschur
 from qgue.symschur import ORACLE_MAX_DEGREE, _alternant, _key
@@ -116,6 +118,11 @@ def test_vandermonde():
     assert len(v3.terms) == 6 and v3.terms[(2, 1, 0)] == ONE
 
 
+def _parities(n):
+    """Every parity class of keys in n variables."""
+    return [_key(bits) for bits in itertools.product((0, 1), repeat=n)]
+
+
 def test_oracle_maps_are_integer_valued():
     # the oracle computes over Z: no Scalar is built before apply_M0
     maps = []
@@ -125,12 +132,17 @@ def test_oracle_maps_are_integer_valued():
     for f in maps:
         assert f.terms and all(type(c) is int for c in f.terms.values())
     for n in (1, 2, 3, 4, 5):
-        square = symschur._vandermonde_squared(n)
-        assert all(type(c) is int and c for _, c in square)
-        # the keyed square from the alternant's pair sums, against the product
-        # of the factors (x_i - x_j)**2 on exponent tuples
+        square = {}
+        for parity in _parities(n):
+            part = symschur._vandermonde_squared(n, parity)
+            assert all(type(c) is int and c for _, c in part)
+            # each class holds the terms whose exponents have its parity
+            assert all(k & _key([1] * n) == parity for k, _ in part)
+            square.update(part)
+        # the parity classes of the keyed square from the alternant's pair sums,
+        # together, against the product of the factors (x_i - x_j)**2 on tuples
         want = {_key(e): c for e, c in vandermonde_squared(n).terms.items()}
-        assert dict(square) == want and len(square) == len(want)
+        assert square == want
 
 
 def test_determinant():
@@ -195,6 +207,57 @@ def test_leading_minors_match_the_dets_of_their_blocks(rows):
     matrix = [[Scalar(QPolynomial(cs)) for cs in row] for row in rows]
     assert symschur._leading_minors(matrix) == _blocks(matrix)
     assert det(matrix) == _blocks(matrix)[-1]
+
+
+def _plain_det(matrix):
+    """det by one Bareiss elimination of the whole matrix, with row swaps."""
+    return list(symschur._bareiss([list(row) for row in matrix], len(matrix)))[-1]
+
+
+@st.composite
+def patterned(draw):
+    """Sparse square matrices whose nonzero entries lie where a row's label and a
+    column's label agree: checkerboards for two labels, blocks of any shape,
+    square or not, for more; one row may be zeroed."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(sparse_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    labels = st.lists(st.integers(0, draw(st.integers(0, 2))), min_size=n, max_size=n)
+    row_label, col_label = draw(labels), draw(labels)
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    return [
+        [Scalar(QPolynomial(cs if row_label[i] == col_label[j] and i != zero_row else []))
+         for j, cs in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def _ints(rows):
+    return [[Scalar(x) for x in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(patterned())
+@example(_ints([[1 + i + j if (i + j) % 2 == 0 else 0 for j in range(5)] for i in range(5)]))
+# two 2 x 2 blocks, one with a zero first pivot
+@example(_ints([[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0]]))
+# blocks of 1 and 3 rows over 2 columns each
+@example(_ints([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]))
+def test_split_det_matches_one_elimination(matrix):
+    assert det(matrix) == _plain_det(matrix)
+    lead = [_plain_det([row[:j] for row in matrix[:j]]) for j in range(1, len(matrix) + 1)]
+    assert symschur._leading_minors(matrix) == lead
+
+
+def test_theorem1_eliminates_half_blocks():
+    # the shadow coefficient matrices are checkerboards: at N <= 8 Bareiss
+    # sees blocks of at most 3 rows, never a whole matrix of 6
+    for mod in (symschur, moments, qxpoly):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with mock.patch.object(symschur, "_bareiss", wraps=symschur._bareiss) as spy:
+        verify_suite(["theorem1"], max_weight=6, max_vars=8)
+    assert max(len(c.args[0]) for c in spy.call_args_list) == 3
 
 
 def test_family_expand_monomials_is_identity():
@@ -364,22 +427,36 @@ def test_apply_M2_folds_maps_that_are_not_symmetric(n, terms, scalar):
 
 
 def test_oracle_multiplies_one_monomial_per_signature():
-    # the squared Vandermonde factor meets f only after f is folded: one pass
-    # over its terms per signature, and it is built once per N
+    # the squared Vandermonde factor meets f only after f is folded: under the
+    # Gaussian functional, one pass per signature, over the one parity class of
+    # its terms that matches the signature's own
     f = schur_monomials(P((4, 2, 2)), 5)
     signatures = {tuple(sorted(e)) for e in f.terms}
-    square = symschur._vandermonde_squared(5)
+    square = {p: symschur._vandermonde_squared(5, p) for p in _parities(5)}
+    full = sum(map(len, square.values()))
+    assert full == len(vandermonde_squared(5).terms) == 2961
     passes = []
 
     class Rows:
-        def __iter__(self):
-            passes.append(1)
-            return iter(square)
+        def __init__(self, parity):
+            self.parity = parity
 
-    with mock.patch.object(symschur, "_vandermonde_squared", lambda n: Rows()):
+        def __iter__(self):
+            passes.append(self.parity)
+            return iter(square[self.parity])
+
+    with mock.patch.object(symschur, "_vandermonde_squared", lambda n, parity: Rows(parity)):
         apply_M2(f, gaussian_moment)
     assert len(passes) == len(signatures) < len(f.terms)
+    mask = _key([1] * 5)
+    assert sorted(passes) == sorted(_key(sig) & mask for sig in signatures)
+    # each pass covers one class, so all of them cover less than one full
+    # square per signature
+    assert sum(len(square[p]) for p in passes) < len(signatures) * full
 
+
+def test_oracle_builds_one_vandermonde():
+    symschur._alternant_keys.cache_clear()
     symschur._vandermonde_squared.cache_clear()
     integrate_schur.cache_clear()
     moments.normalization.cache_clear()
@@ -387,6 +464,42 @@ def test_oracle_multiplies_one_monomial_per_signature():
         integrate_schur(P((4, 2, 2)), 5, "oracle")
         integrate_schur(P((3, 3)), 5, "oracle")
     assert [c.args for c in built.call_args_list] == [(5,)]
+
+
+def test_oracle_hands_on_only_even_signatures():
+    # the Gaussian functional is zero at odd exponents, so no signature with one
+    # reaches the moments
+    integrate_schur.cache_clear()
+    moments.normalization.cache_clear()
+    with mock.patch.object(symschur, "_apply_folded", wraps=symschur._apply_folded) as spy:
+        integrate_schur(P((4, 2, 2)), 5, "oracle")
+    signatures = [sig for c in spy.call_args_list for sig in c.args[0]]
+    assert signatures and all(e % 2 == 0 for sig in signatures for e in sig)
+
+
+def _one_odd(target):
+    """The Gaussian moments, except that the odd exponent target has a moment."""
+    return lambda e: Scalar(e + 1) if e == target else gaussian_moment(e)
+
+
+@pytest.mark.parametrize(
+    "n, terms, target",
+    [
+        (2, {(2, 1): 1, (1, 0): -2}, 3),
+        (3, {(2, 1, 0): 1, (1, 1, 1): 3}, 3),
+        # the largest exponent each product reaches: 5 + 2 (3 - 1) and 3 + 2 (4 - 1)
+        (3, {(5, 0, 0): 1, (1, 1, 0): -1}, 9),
+        (4, {(3, 1, 1, 0): 2, (0, 0, 0, 1): 1}, 9),
+    ],
+)
+def test_apply_M2_reads_an_odd_moment_that_is_not_zero(n, terms, target):
+    # a functional that is nonzero at one odd exponent, anywhere up to the
+    # largest the product reaches, makes every parity class meet every row
+    f = MonomialMap(n, terms)
+    moment = _one_odd(target)
+    want = apply_M0(tuple_product(f, vandermonde_squared(n)), moment)
+    assert want != apply_M2(f, gaussian_moment)
+    assert apply_M2(f, moment) == want
 
 
 def test_oracle_keys_hold_every_exponent_the_guardrail_admits():

@@ -210,6 +210,10 @@ GOLDEN = Path(__file__).parent / "golden"
             ["sigma", "theorem5"],
             {"max_weight": 12, "max_vars": 4, "max_n": 8},
         ),
+        # theorem1, theorem2 and theorem3 at sizes whose matrices split into blocks
+        ("theorem1_w12_v17.json", ["theorem1"], {"max_weight": 12, "max_vars": 17}),
+        ("theorem2_v8_n17.json", ["theorem2"], {"max_vars": 8, "max_n": 17}),
+        ("theorem3_w8_v5.json", ["theorem3"], {"max_weight": 8, "max_vars": 5}),
     ],
 )
 def test_report_matches_golden_bytes(golden, suites, bounds):
